@@ -4,7 +4,10 @@
 Runs a grid of (n, characteristic) cells, each with a mix of the three
 random-parameter profiles, and reports the agreement matrix per cell.
 Any disagreement between the five-condition test and the confluence
-oracle is an engine bug, not a property of the inputs.
+oracle is an engine bug, not a property of the inputs.  Each sample also
+reruns both engines with exhaustive=True, which sweeps condition (1) and
+the group-group-var overlaps over all of G rather than the generators;
+the default result (verdicts and witnesses) must equal it.
 
 Usage:
     python scripts/crossval_campaign.py [--samples 60] [--seed 0]
@@ -31,12 +34,20 @@ def run_cell(n: int, p: int, samples: int, seed: int) -> tuple[int, int, int]:
     for s in range(samples):
         profile = PROFILES[s % 3]
         lam, kappa = random_params(n, fs, seed=seed + s, profile=profile)
-        cond = check_pbw(lam, kappa).pbw
-        conf = RewriteSystem(lam, kappa).check_confluence()[0]
-        if cond == conf:
+        report = check_pbw(lam, kappa)
+        full = check_pbw(lam, kappa, exhaustive=True)
+        rs = RewriteSystem(lam, kappa)
+        confluence = rs.check_confluence()
+        cond, conf = report.pbw, confluence[0]
+        shortcut_ok = (report.verdicts, report.witnesses) == (full.verdicts, full.witnesses) and (
+            confluence == rs.check_confluence(exhaustive=True)
+        )
+        if cond == conf and shortcut_ok:
             agree += 1
-        else:
+        elif cond != conf:
             print(f"  MISMATCH at n={n} p={p} sample={s} profile={profile}: {cond} vs {conf}")
+        else:
+            print(f"  GENERATOR SWEEP DIFFERS FROM EXHAUSTIVE at n={n} p={p} sample={s} profile={profile}")
         pbw_true += cond
     return agree, pbw_true, samples
 

@@ -125,7 +125,7 @@ def cmd_extract(args) -> int:
 
 def cmd_normal_form(args) -> int:
     lam, kappa = _load_params(args.input)
-    x = parse_word_sum(args.word, lam.field, lam.n)
+    x = parse_word_sum(args.word, lam.field, lam.n, lam.group)
     rs = RewriteSystem(lam, kappa, step_budget=_step_budget())
     nf = rs.normal_form(x)
     rendered = format_normal_form(nf)

@@ -10,7 +10,6 @@ with the cocycle identity checked by the PBW machinery.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Sequence, Union
 
 from . import linalg
@@ -271,14 +270,21 @@ def fixed_space_codim(g: GroupElement) -> int:
 
 
 class GroupTable:
-    """Immutable full enumeration of a finite group with product/inverse lookup.
+    """Immutable full enumeration of a finite group with index and inverse lookup.
 
     Elements are sorted by a canonical key (one-line images for permutations,
     flattened entries for matrices) so all downstream iteration is
-    deterministic.
+    deterministic.  `generators` generates the group as a monoid (every
+    element is a positive word in it); it defaults to all elements.
     """
 
-    def __init__(self, elements: Iterable[GroupElement], n: int, field_spec: FieldSpec | None = None) -> None:
+    def __init__(
+        self,
+        elements: Iterable[GroupElement],
+        n: int,
+        field_spec: FieldSpec | None = None,
+        generators: Sequence[GroupElement] | None = None,
+    ) -> None:
         self.elements: tuple[GroupElement, ...] = tuple(
             sorted(elements, key=lambda e: e.sort_key())
         )
@@ -287,6 +293,12 @@ class GroupTable:
         self._index = {g: i for i, g in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
+        self.generators: tuple[GroupElement, ...] = (
+            self.elements if generators is None else tuple(generators)
+        )
+        for s in self.generators:
+            if s not in self._index:
+                raise ValueError(f"generator {s!r} is not in the enumeration")
         ident = [g for g in self.elements if g.is_identity()]
         if not ident:
             raise ValueError("enumeration is missing the identity")
@@ -295,7 +307,6 @@ class GroupTable:
         for g, gi in self._inverses.items():
             if gi not in self._index:
                 raise ValueError(f"enumeration not closed under inverse: {g!r}")
-        self._products: dict[tuple[GroupElement, GroupElement], GroupElement] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -308,14 +319,6 @@ class GroupTable:
 
     def index(self, g: GroupElement) -> int:
         return self._index[g]
-
-    def product(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        """Memoized product; the full table is built on first use."""
-        if self._products is None:
-            self._products = {
-                (a, b): a * b for a in self.elements for b in self.elements
-            }
-        return self._products[(g, h)]
 
     def inverse(self, g: GroupElement) -> GroupElement:
         return self._inverses[g]
@@ -339,16 +342,26 @@ class GroupTable:
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> GroupTable:
-    """All n! permutations of {1..n}.  Cached: tables are immutable."""
+    """All n! permutations of {1..n}, generated by (1 2) and (1 2 ... n).
+
+    Cached: tables are immutable.  For n <= 2 the two generators coincide
+    (n = 1: the identity) and are recorded once.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return GroupTable((Perm(p) for p in permutations(range(1, n + 1))), n)
+    transposition = Perm.from_cycles(n, (1, 2)) if n > 1 else Perm.identity(n)
+    long_cycle = Perm.from_cycles(n, tuple(range(1, n + 1)))
+    return enumerate_group(list(dict.fromkeys([transposition, long_cycle])))
 
 
 def enumerate_group(
     generators: Sequence[GroupElement], cap: int = 10**6, field_spec: FieldSpec | None = None
 ) -> GroupTable:
-    """Close a generating set under products; errors past the cap."""
+    """Close a generating set under products; errors past the cap.
+
+    The closure starts at the identity and multiplies by generators on the
+    left, so the table's recorded `generators` generate it as a monoid.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].n
@@ -372,4 +385,4 @@ def enumerate_group(
                     if len(seen) > cap:
                         raise ClosureCapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
-    return GroupTable(seen, n, field_spec)
+    return GroupTable(seen, n, field_spec, generators=generators)

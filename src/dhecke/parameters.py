@@ -332,7 +332,35 @@ def element_to_json(g: GroupElement):
     return [str(s) for row in g.rows for s in row]
 
 
-def element_from_json(data, group: GroupTable) -> GroupElement:
+def _field(obj, key: str, where: str):
+    """obj[key] for a JSON object, or a ValueError naming what is missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} is missing the field {key!r}")
+    return obj[key]
+
+
+def _int_field(obj, key: str, where: str) -> int:
+    value = _field(obj, key, where)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        return int(value)
+    raise ValueError(f"{where} field {key!r} must be an integer, got {value!r}")
+
+
+def _list_field(obj, key: str, where: str, optional: bool = False) -> list:
+    """A list-valued field; an optional one reads as [] when absent (obj must be an object)."""
+    value = obj.get(key, []) if optional else _field(obj, key, where)
+    if not isinstance(value, list):
+        raise ValueError(f"{where} field {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
+def element_from_json(data, group: GroupTable, where: str = "group element") -> GroupElement:
+    if not isinstance(data, list) or not all(isinstance(x, (int, str)) for x in data):
+        raise ValueError(f"{where} must be a list of entries, got {data!r}")
     if group.is_permutation_group():
         g: GroupElement = Perm([int(x) for x in data])
     else:
@@ -354,8 +382,19 @@ def algebra_element_to_json(x: AlgebraElement):
     ]
 
 
-def algebra_element_from_json(data, group: GroupTable, fs: FieldSpec) -> AlgebraElement:
-    pairs = [(element_from_json(t["g"], group), fs.parse(t["coeff"])) for t in data]
+def algebra_element_from_json(
+    data, group: GroupTable, fs: FieldSpec, where: str = "group-algebra value"
+) -> AlgebraElement:
+    if not isinstance(data, list):
+        raise ValueError(f"{where} must be a list of terms, got {type(data).__name__}")
+    pairs = []
+    for k, t in enumerate(data):
+        term = f"{where} term {k}"
+        coeff = _field(t, "coeff", term)
+        if not isinstance(coeff, (int, str)) or isinstance(coeff, bool):
+            raise ValueError(f"{term} field 'coeff' must be a string, got {coeff!r}")
+        g = element_from_json(_field(t, "g", term), group, f"{term} field 'g'")
+        pairs.append((g, fs.parse(str(coeff))))
     return AlgebraElement.from_pairs(fs, pairs)
 
 
@@ -367,15 +406,15 @@ def group_to_json(group: GroupTable, generators: Sequence[GroupElement] | None =
 
 
 def group_from_json(data, fs: FieldSpec, n: int) -> GroupTable:
-    kind = data.get("type")
+    kind = _field(data, "type", "group")
     if kind == "symmetric_permutation":
-        if int(data["n"]) != n:
+        if _int_field(data, "n", "group") != n:
             raise ValueError("group n disagrees with the file n")
         return symmetric_group(n)
     if kind == "matrix":
         gens = []
-        for flat in data["generators"]:
-            if len(flat) != n * n:
+        for flat in _list_field(data, "generators", "group"):
+            if not isinstance(flat, list) or len(flat) != n * n:
                 raise ValueError(f"matrix generator must have {n * n} entries")
             rows = [[fs.parse(str(flat[r * n + c])) for c in range(n)] for r in range(n)]
             gens.append(MatrixElement(fs, rows))
@@ -407,27 +446,31 @@ def params_to_json(lam: LambdaParam, kappa: KappaParam, generators: Sequence[Gro
 
 
 def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
-    p = int(data["characteristic"])
+    """Parse a parameter file; a missing or ill-typed field raises ValueError naming it."""
+    top = "parameter file"
+    p = _int_field(data, "characteristic", top)
     # A file that declares characteristic 2 is an explicit request for it;
     # the five-condition checker still refuses such inputs on its own.
     fs = FieldSpec(p, allow_char2=(p == 2))
-    n = int(data["n"])
-    group = group_from_json(data["group"], fs, n)
+    n = _int_field(data, "n", top)
+    group = group_from_json(_field(data, "group", top), fs, n)
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
-    for entry in data.get("lambda", []):
-        g = element_from_json(entry["g"], group)
-        i = int(entry["i"])
-        val = algebra_element_from_json(entry["value"], group, fs)
+    for k, entry in enumerate(_list_field(data, "lambda", top, optional=True)):
+        where = f"lambda entry {k}"
+        g = element_from_json(_field(entry, "g", where), group, f"{where} field 'g'")
+        i = _int_field(entry, "i", where)
+        val = algebra_element_from_json(_field(entry, "value", where), group, fs, f"{where} value")
         if not val.is_zero():
             if (g, i) in lam_table:
                 raise ValueError(f"duplicate lambda entry for {(g, i)}")
             lam_table[(g, i)] = val
     kap_table: dict[tuple[int, int], AlgebraElement] = {}
-    for entry in data.get("kappa", []):
-        i, j = int(entry["i"]), int(entry["j"])
+    for k, entry in enumerate(_list_field(data, "kappa", top, optional=True)):
+        where = f"kappa entry {k}"
+        i, j = _int_field(entry, "i", where), _int_field(entry, "j", where)
         if not i < j:
             raise ValueError(f"kappa entries require i < j, got {(i, j)}")
-        val = algebra_element_from_json(entry["value"], group, fs)
+        val = algebra_element_from_json(_field(entry, "value", where), group, fs, f"{where} value")
         if not val.is_zero():
             if (i, j) in kap_table:
                 raise ValueError(f"duplicate kappa entry for {(i, j)}")

@@ -80,6 +80,8 @@ class FieldSpec:
         text = text.strip()
         if "/" in text:
             num_s, den_s = text.split("/", 1)
+            if int(den_s) == 0:
+                raise ValueError(f"zero denominator in {text!r}")
             return self(Fraction(int(num_s), int(den_s)))
         return self(int(text))
 

@@ -15,6 +15,7 @@ from dhecke import (
     Perm,
     build_H_mu,
     enumerate_group,
+    random_params,
     symmetric_group,
 )
 
@@ -116,6 +117,23 @@ def build_char2_matrix_pair():
 @pytest.fixture()
 def char2_matrix_pair():
     return build_char2_matrix_pair()
+
+
+SWEEP_PROFILES = ("general", "mu-family", "perturbed-mu")
+
+
+def sweep_grid():
+    """Seeded pairs for comparing the generator and exhaustive sweeps.
+
+    Every profile at n = 3 (four seeds) and n = 4 (one seed), p in {0, 3, 5, 7}.
+    """
+    for n, seeds in ((3, range(4)), (4, range(1))):
+        for p in (0, 3, 5, 7):
+            fs = FieldSpec(p)
+            for profile in SWEEP_PROFILES:
+                for seed in seeds:
+                    lam, kap = random_params(n, fs, seed=seed + 500, profile=profile)
+                    yield (n, p, profile, seed), lam, kap
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
+
 from dhecke.cli import main
 
 from conftest import FIXTURES
@@ -259,3 +261,52 @@ def test_step_budget_env(capsys, monkeypatch):
         "--word", "v3 v2 v1",
     )
     assert code == 2
+
+
+def assert_one_line_error(capsys, code: int) -> str:
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "fixture, word",
+    [
+        ("golden_rule.json", "g[2,1] v1"),  # a permutation of the wrong size
+        ("golden_rule.json", "g[2,1] v3"),
+        ("golden_rule.json", "M[[1,1],[0,1]] v1"),  # a matrix in a permutation group
+        ("example_4_3.json", "M[[1,0],[1,1]] v1"),  # a matrix outside the group
+    ],
+)
+def test_normal_form_group_token_outside_group_exit2(capsys, fixture, word):
+    code = main(["normal-form", "--input", str(FIXTURES / fixture), "--word", word])
+    err = assert_one_line_error(capsys, code)
+    assert word.split()[0] in err
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"characteristic": 5}, "'n'"),
+        ([5, 3], "JSON object"),
+        ({"characteristic": "five", "n": 3}, "'characteristic'"),
+        ({"characteristic": 5, "n": 3, "group": {"type": "symmetric_permutation"}}, "'n'"),
+        (
+            {"characteristic": 5, "n": 3, "group": {"type": "symmetric_permutation", "n": 3},
+             "lambda": [{"g": [1, 2, 3], "value": []}]},
+            "lambda entry 0 is missing the field 'i'",
+        ),
+        (
+            {"characteristic": 5, "n": 3, "group": {"type": "symmetric_permutation", "n": 3},
+             "kappa": [{"i": 1, "j": 2, "value": [{"g": [1, 2, 3], "coeff": None}]}]},
+            "'coeff'",
+        ),
+    ],
+)
+def test_check_malformed_params_exit2(capsys, tmp_path, payload, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = main(["check", "--input", str(path), "--method", "conditions"])
+    err = assert_one_line_error(capsys, code)
+    assert named in err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from dhecke import (
     reflection_length,
     symmetric_group,
 )
-from dhecke.groups import ClosureCapExceeded
+from dhecke.groups import ClosureCapExceeded, GroupTable
 from dhecke.linalg import basis_vector, same_subspace
 
 
@@ -92,6 +94,40 @@ def test_enumerate_symmetric_groups():
     assert len(enumerate_group(gens4)) == 24
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_group_elements_unchanged(n):
+    """Built by closure, the table keeps the sorted one-line enumeration."""
+    expected = tuple(Perm(p) for p in sorted(permutations(range(1, n + 1))))
+    assert symmetric_group(n).elements == expected
+
+
+def test_symmetric_group_generators():
+    for n in range(3, 7):
+        assert symmetric_group(n).generators == (
+            Perm.transposition(n, 1, 2),
+            Perm.from_cycles(n, tuple(range(1, n + 1))),
+        )
+    # the two generators coincide for n <= 2 and are recorded once
+    assert symmetric_group(2).generators == (Perm([2, 1]),)
+    assert symmetric_group(1).generators == (Perm([1]),)
+
+
+def test_enumerate_group_records_generators():
+    s1 = Perm.from_cycles(3, (1, 2))
+    s2 = Perm.from_cycles(3, (2, 3))
+    assert enumerate_group([s1, s2]).generators == (s1, s2)
+    fs = FieldSpec(2, allow_char2=True)
+    g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
+    assert enumerate_group([g]).generators == (g,)
+
+
+def test_group_table_generators_default_and_membership():
+    elements = list(symmetric_group(3))
+    assert GroupTable(elements, 3).generators == symmetric_group(3).elements
+    with pytest.raises(ValueError):
+        GroupTable(elements, 3, generators=[Perm([2, 1])])
+
+
 def test_enumerate_matrix_group():
     fs = FieldSpec(2, allow_char2=True)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
@@ -115,7 +151,7 @@ def test_group_table_lookup(S3):
     for g in S3:
         assert S3.inverse(g) * g == S3.identity
         for h in S3:
-            assert S3.product(g, h) in S3
+            assert g * h in S3
 
 
 def test_adjacent_transpositions(S3):

@@ -21,7 +21,7 @@ from dhecke import (
 from dhecke.linalg import basis_vector, vec_scale, vec_sub
 from dhecke.scalars import CharTwoUnsupported
 
-from conftest import build_char2_matrix_pair
+from conftest import build_char2_matrix_pair, sweep_grid
 
 
 def test_zero_pair_passes(F5, S3):
@@ -203,3 +203,55 @@ def test_checker_agrees_with_oracle_across_grid():
                 cond = check_pbw(lam, kap).pbw
                 conf = RewriteSystem(lam, kap).check_confluence()[0]
                 assert cond == conf, (n, p, seed, profile)
+
+
+def test_generator_sweep_matches_exhaustive():
+    """Condition (1) on generators only gives the exhaustive verdicts and witnesses."""
+    cond1_fails = later_fails = off_generator = 0
+    for label, lam, kap in sweep_grid():
+        reduced = check_pbw(lam, kap)
+        full = check_pbw(lam, kap, exhaustive=True)
+        assert reduced.verdicts == full.verdicts, label
+        assert reduced.witnesses == full.witnesses, label
+        assert check_condition(1, lam, kap) == check_condition(1, lam, kap, exhaustive=True), label
+        if not full.verdicts[1]:
+            cond1_fails += 1
+            off_generator += full.witnesses[1].g not in lam.group.generators
+        elif not full.pbw:
+            later_fails += 1
+    # the grid exercises both branches, and witnesses the generators alone would not give
+    assert cond1_fails and later_fails and off_generator
+
+
+def test_generator_sweep_finds_single_bad_entry(F5, S3):
+    """A lambda that breaks the cocycle identity away from the generators is caught."""
+    c = Perm.from_cycles(3, (1, 3, 2))
+    assert c not in S3.generators
+    lam = LambdaParam(S3, F5, {(c, 1): AlgebraElement.term(F5, c)})
+    ok, witness = check_condition(1, lam, KappaParam(F5, 3))
+    assert not ok
+    assert witness == check_condition(1, lam, KappaParam(F5, 3), exhaustive=True)[1]
+
+
+def test_generator_sweep_needs_every_generator(F5, S3):
+    """A lambda with the identity at s = (1 2) for every h, but not a cocycle.
+
+    With t = (2 3): lambda(t, v1) = 1 and lambda(st, v1) = s satisfy the
+    identity at every (s, h), yet it fails at (t, t, 1) with discrepancy
+    -2t.  So (1 2) alone is not enough, and both engines must also sweep
+    the long cycle.
+    """
+    s, t = S3.generators[0], Perm.transposition(3, 2, 3)
+    assert s == Perm.transposition(3, 1, 2) and t not in S3.generators
+    lam = LambdaParam(
+        S3, F5, {(t, 1): AlgebraElement.term(F5, S3.identity), (s * t, 1): AlgebraElement.term(F5, s)}
+    )
+    kap = KappaParam(F5, 3)
+    ok, witness = check_condition(1, lam, kap, exhaustive=True)
+    assert not ok and witness.g == witness.h == t and witness.indices == (1,)
+    assert witness.discrepancy == AlgebraElement.term(F5, t, F5(-2))
+    assert check_condition(1, lam, kap) == (ok, witness)
+    rs = RewriteSystem(lam, kap)
+    ok, wit = rs.check_confluence()
+    assert not ok and wit.family == "group-group-var"
+    assert (ok, wit) == rs.check_confluence(exhaustive=True)

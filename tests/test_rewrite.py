@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +17,13 @@ from dhecke import (
     build_H_mu,
     format_normal_form,
     golden_rule,
+    params_from_json,
     parse_word_sum,
     symmetric_group,
 )
 from dhecke.rewrite import NotConfluent, StepBudgetExceeded, ranking
 
-from conftest import build_char2_matrix_pair, unit_block_mu
+from conftest import build_char2_matrix_pair, load_fixture, sweep_grid, unit_block_mu
 
 
 def nf_of_word(rs, word, coeff=None):
@@ -246,3 +249,82 @@ def test_parse_word_sum_errors(F5):
 
 def test_format_zero(F5):
     assert format_normal_form({}) == "0"
+
+
+def test_generator_overlaps_match_exhaustive():
+    """Group-group-var overlaps on generators only give the exhaustive verdicts and witnesses."""
+    ggv_fails = later_fails = off_generator = 0
+    for label, lam, kap in sweep_grid():
+        rs = RewriteSystem(lam, kap)
+        reduced = rs.check_confluence()
+        full = rs.check_confluence(exhaustive=True)
+        assert reduced == full, label
+        ok, wit = full
+        if not ok and wit.family == "group-group-var":
+            ggv_fails += 1
+            off_generator += wit.word[0] not in lam.group.generators
+        elif not ok:
+            later_fails += 1
+    assert ggv_fails and later_fails and off_generator
+
+
+def test_generator_overlaps_char2_matrix_group():
+    """example_4_3 (characteristic 2, a matrix group) and a broken variant of it."""
+    lam, kap = params_from_json(load_fixture("example_4_3.json"))
+    rs = RewriteSystem(lam, kap)
+    assert rs.check_confluence() == rs.check_confluence(exhaustive=True) == (True, None)
+    # lambda(1, v_1) = 1 breaks the cocycle identity at g = 1, which is not a generator
+    fs = lam.field
+    one = lam.group.identity
+    assert one not in lam.group.generators
+    table = dict(lam.table)
+    table[(one, 1)] = AlgebraElement.term(fs, one)
+    rs = RewriteSystem(LambdaParam(lam.group, fs, table), kap)
+    ok, wit = rs.check_confluence()
+    assert not ok and wit.family == "group-group-var" and wit.word[0] == one
+    assert (ok, wit) == rs.check_confluence(exhaustive=True)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_overlap_counts(F5, n):
+    """|S||G|n + |G|C(n,2) + C(n,3) overlaps, or |G|^2 n + ... when exhaustive."""
+    group = symmetric_group(n)
+    rs = RewriteSystem(LambdaParam.zero(group, F5), KappaParam(F5, n))
+    rest = len(group) * comb(n, 2) + comb(n, 3)
+    assert len(rs.overlap_words()) == len(group.generators) * len(group) * n + rest
+    assert len(rs.overlap_words(exhaustive=True)) == len(group) ** 2 * n + rest
+    if n == 5:
+        assert len(rs.overlap_words()) == 2410
+
+
+def test_parse_word_sum_rejects_tokens_outside_group(F7):
+    lam, _ = params_from_json(load_fixture("golden_rule.json"))
+    group = lam.group
+    assert parse_word_sum("g[2,1,3] v1", F7, 3, group) == {(Perm([2, 1, 3]), 1): F7.one}
+    for word in ("g[2,1] v1", "g[2,1] v3", "M[[1,1],[0,1]] v1", "M[[1,0,0],[0,1,0],[0,0,1]] v1"):
+        with pytest.raises(ValueError):
+            parse_word_sum(word, F7, 3, group)
+    # without a group, a token must still act on F^n
+    with pytest.raises(ValueError):
+        parse_word_sum("g[2,1] v1", F7, 3)
+    lam2, _ = params_from_json(load_fixture("example_4_3.json"))
+    with pytest.raises(ValueError):
+        parse_word_sum("M[[1,0],[1,1]] v1", lam2.field, 2, lam2.group)
+    assert parse_word_sum("M[[1,1],[0,1]] v1", lam2.field, 2, lam2.group)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.text(alphabet="vgM[],/0123456789+- ", max_size=24))
+def test_parse_word_sum_fuzz_returns_or_raises_value_error(text):
+    """Any word text either parses or raises ValueError.
+
+    '^' is left out of the alphabet: an exponent is expanded into that many
+    tokens, with no bound.
+    """
+    fs = FieldSpec(5)
+    try:
+        x = parse_word_sum(text, fs, 3, symmetric_group(3))
+    except ValueError:
+        return
+    for word in x:
+        assert all(isinstance(t, int) or t in symmetric_group(3) for t in word)
