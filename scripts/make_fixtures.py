@@ -39,10 +39,9 @@ from dhecke import (  # noqa: E402
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def write(name: str, payload) -> None:
-    path = FIXTURES / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+def render(payload) -> str:
+    """The bytes of a fixture file."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def unit_block_params(n: int, p: int):
@@ -90,19 +89,28 @@ def char2_matrix_pair():
     group = enumerate_group([g])
     lam = LambdaParam(group, fs, {(g, 2): AlgebraElement.term(fs, group.identity)})
     kap = KappaParam(fs, 2, {(1, 2): AlgebraElement.term(fs, g)})
-    return params_to_json(lam, kap, generators=[g])
+    return params_to_json(lam, kap)
+
+
+def fixtures() -> dict[str, dict]:
+    """Each fixture file name with the parameter-file JSON it holds."""
+    fs5, fs7 = FieldSpec(5), FieldSpec(7)
+    return {
+        "example_1_1_n3.json": unit_block_params(3, 5),
+        "example_1_1_n4.json": unit_block_params(4, 5),
+        "example_3_4.json": two_scalar_n4(),
+        "example_4_3.json": char2_matrix_pair(),
+        "golden_rule.json": params_to_json(*golden_rule(3, fs7)),
+        "s8_n2_family.json": params_to_json(*low_dim_family(2, (fs5.one, fs5.one), fs5)),
+    }
 
 
 def main() -> None:
     FIXTURES.mkdir(exist_ok=True)
-    write("example_1_1_n3.json", unit_block_params(3, 5))
-    write("example_1_1_n4.json", unit_block_params(4, 5))
-    write("example_3_4.json", two_scalar_n4())
-    write("example_4_3.json", char2_matrix_pair())
-    fs7 = FieldSpec(7)
-    write("golden_rule.json", params_to_json(*golden_rule(3, fs7)))
-    fs5 = FieldSpec(5)
-    write("s8_n2_family.json", params_to_json(*low_dim_family(2, (fs5.one, fs5.one), fs5)))
+    for name, payload in fixtures().items():
+        path = FIXTURES / name
+        path.write_text(render(payload), encoding="utf-8")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

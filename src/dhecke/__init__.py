@@ -13,10 +13,7 @@ from .groups import (
     GroupTable,
     MatrixElement,
     Perm,
-    compose,
     enumerate_group,
-    fixed_space_codim,
-    reflection_length,
     symmetric_group,
 )
 from .group_algebra import AlgebraElement
@@ -83,14 +80,12 @@ __all__ = [
     "bump_c",
     "check_condition",
     "check_pbw",
-    "compose",
     "convert",
     "diagnose_kappa_support",
     "diagnose_lambda",
     "enumerate_group",
     "extract_alpha_beta",
     "extract_mu",
-    "fixed_space_codim",
     "format_normal_form",
     "gamma",
     "golden_rule",
@@ -103,7 +98,6 @@ __all__ = [
     "params_to_json",
     "parse_word_sum",
     "random_params",
-    "reflection_length",
     "scale_params",
     "symmetric_group",
     "two_param_family",

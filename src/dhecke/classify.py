@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .groups import GroupElement, GroupTable, Perm, symmetric_group
+from .groups import GroupElement, Perm, symmetric_group
 from .group_algebra import AlgebraElement
-from .parameters import KappaParam, LambdaParam, extract_alpha_beta
+from .parameters import KappaParam, LambdaParam, _field, _int_field, _list_field, extract_alpha_beta
 from .scalars import CharTwoUnsupported, FieldSpec, Scalar
 
 
@@ -94,12 +94,11 @@ class MuParams:
         return MuParams(field_spec, n, {}, (field_spec.zero,) * (n - 1), field_spec.zero)
 
 
-def build_H_mu(mu: MuParams, group: GroupTable | None = None) -> tuple[LambdaParam, KappaParam]:
+def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
     """Expand a mu tuple into full (lambda, kappa) tables over S_n."""
     fs = mu.field
     n = mu.n
-    if group is None:
-        group = symmetric_group(n)
+    group = symmetric_group(n)
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
     for g in group:
         for i in range(1, n + 1):
@@ -147,7 +146,7 @@ def extract_mu(lam: LambdaParam, kappa: KappaParam) -> MuParams:
         raise CharTwoUnsupported("mu extraction divides by 4 and 2")
     if n <= 2:
         raise ValueError("mu extraction needs n > 2 (no 3-cycles exist below)")
-    if not lam.group.is_symmetric_group():
+    if not lam.group.is_symmetric_group:
         raise ValueError("mu extraction is defined for the full symmetric group")
     ab = extract_alpha_beta(lam)
     a = {
@@ -260,10 +259,9 @@ def two_param_family(a: Scalar, b: Scalar, n: int, field_spec: FieldSpec) -> tup
     return LambdaParam(group, fs, lam_table), KappaParam(fs, n, kap_table)
 
 
-def golden_rule(n: int, field_spec: FieldSpec, scale: Scalar | None = None) -> tuple[LambdaParam, KappaParam]:
-    """lambda(g, v_i) = (g(i) - i) g with kappa = 0, optionally scaled."""
-    s = scale if scale is not None else field_spec.one
-    return two_param_family(s, field_spec.zero, n, field_spec)
+def golden_rule(n: int, field_spec: FieldSpec) -> tuple[LambdaParam, KappaParam]:
+    """lambda(g, v_i) = (g(i) - i) g with kappa = 0."""
+    return two_param_family(field_spec.one, field_spec.zero, n, field_spec)
 
 
 def bump_c(mu: MuParams, delta: Scalar) -> MuParams:
@@ -290,15 +288,24 @@ def mu_to_json(mu: MuParams):
 
 
 def mu_from_json(data, field_spec: FieldSpec | None = None, n: int | None = None) -> MuParams:
+    """Parse a mu file; a missing or ill-typed field raises ValueError naming it.
+
+    `field_spec` and `n`, when given, override the file's values.
+    """
+    top = "mu file"
     if field_spec is None:
-        p = int(data["characteristic"])
+        p = _int_field(data, "characteristic", top)
         field_spec = FieldSpec(p, allow_char2=(p == 2))
+    b_data = _list_field(data, "b", top)
     if n is None:
-        n = int(data["n"]) if "n" in data else len(data["b"]) + 1
+        n = _int_field(data, "n", top) if "n" in data else len(b_data) + 1
+    a_data = data.get("a", {})
+    if not isinstance(a_data, dict):
+        raise ValueError(f"{top} field 'a' must be a JSON object, got {type(a_data).__name__}")
     a: dict[tuple[int, int], Scalar] = {}
-    for key, sval in data.get("a", {}).items():
+    for key, sval in a_data.items():
         i_s, j_s = key.split(",")
-        a[(int(i_s), int(j_s))] = field_spec.parse(sval)
-    b = tuple(field_spec.parse(s) for s in data["b"])
-    c = field_spec.parse(data["c"])
+        a[(int(i_s), int(j_s))] = field_spec.parse(str(sval))
+    b = tuple(field_spec.parse(str(s)) for s in b_data)
+    c = field_spec.parse(str(_field(data, "c", top)))
     return MuParams(field_spec, n, a, b, c)

@@ -30,6 +30,7 @@ from .rewrite import (
     RewriteSystem,
     StepBudgetExceeded,
     format_normal_form,
+    normal_form_to_json,
     parse_word_sum,
 )
 from .scalars import CharTwoUnsupported, FieldSpec, ModularObstruction
@@ -54,19 +55,6 @@ def _load_params(path: str):
     return params_from_json(data)
 
 
-def _overlap_witness_json(wit):
-    if wit is None:
-        return None
-    return {
-        "family": wit.family,
-        "word": [t if isinstance(t, int) else repr(t) for t in wit.word],
-        "difference": [
-            {"exponents": list(m.exponents), "g": repr(m.g), "coeff": str(c)}
-            for m, c in wit.difference
-        ],
-    }
-
-
 def cmd_check(args) -> int:
     lam, kappa = _load_params(args.input)
     report: dict = {"input": args.input, "method": args.method}
@@ -79,7 +67,7 @@ def cmd_check(args) -> int:
         rs = RewriteSystem(lam, kappa, step_budget=_step_budget())
         ok, wit = rs.check_confluence()
         verdicts["confluence"] = ok
-        report["confluence"] = {"pbw": ok, "witness": _overlap_witness_json(wit)}
+        report["confluence"] = {"pbw": ok, "witness": wit.to_json() if wit is not None else None}
     pbw_values = list(verdicts.values())
     agree = len(set(pbw_values)) == 1
     report["agree"] = agree
@@ -132,14 +120,7 @@ def cmd_normal_form(args) -> int:
     if args.out:
         _write_json(
             args.out,
-            {
-                "input": args.word,
-                "normal_form": rendered,
-                "terms": [
-                    {"exponents": list(m.exponents), "g": repr(m.g), "coeff": str(c)}
-                    for m, c in sorted(nf.items(), key=lambda t: t[0].sort_key())
-                ],
-            },
+            {"input": args.word, "normal_form": rendered, "terms": normal_form_to_json(nf)},
         )
     print(rendered)
     return 0

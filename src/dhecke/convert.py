@@ -55,14 +55,18 @@ def gamma(lam: LambdaParam) -> dict[int, AlgebraElement]:
     return out
 
 
-def convert(lam: LambdaParam, kappa_prime: KappaParam, *, verify_input: bool = True) -> ConversionResult:
-    """Build the converted kappa for a PBW pair in the nonmodular setting."""
+def convert(lam: LambdaParam, kappa_prime: KappaParam) -> ConversionResult:
+    """Build the converted kappa for a PBW pair in the nonmodular setting.
+
+    Refuses a modular pair with ModularObstruction and a pair that fails the
+    five-condition test with NotPBWInput.
+    """
     fs = lam.field
     if fs.characteristic and len(lam.group) % fs.characteristic == 0:
         raise ModularObstruction(
             f"|G| = {len(lam.group)} vanishes in characteristic {fs.characteristic}"
         )
-    if verify_input and not check_pbw(lam, kappa_prime).pbw:
+    if not check_pbw(lam, kappa_prime).pbw:
         raise NotPBWInput("conversion requires a PBW input pair")
     g = gamma(lam)
     n = lam.n

@@ -137,22 +137,3 @@ class AlgebraElement:
         parts = [f"{c}*{g!r}" for g, c in sorted(self.terms.items(), key=lambda t: t[0].sort_key())]
         return " + ".join(parts)
 
-
-def ga_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def ga_scale(c: Scalar, x: AlgebraElement) -> AlgebraElement:
-    return x.scale(c)
-
-
-def ga_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def conjugate(h: GroupElement, x: AlgebraElement) -> AlgebraElement:
-    return x.conjugate_by(h)
-
-
-def coefficient(x: AlgebraElement, g: GroupElement) -> Scalar:
-    return x.coefficient(g)

@@ -9,6 +9,7 @@ with the cocycle identity checked by the PBW machinery.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -252,44 +253,28 @@ class MatrixElement:
 GroupElement = Union[Perm, MatrixElement]
 
 
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """The composite acting as "apply h, then g"."""
-    if type(g) is not type(h):
-        raise ValueError("mismatched element representations")
-    return g * h
-
-
-def reflection_length(g: Perm) -> int:
-    if not isinstance(g, Perm):
-        raise ValueError("reflection length is defined for permutations")
-    return g.reflection_length()
-
-
-def fixed_space_codim(g: GroupElement) -> int:
-    return g.fixed_space_codim()
-
-
 class GroupTable:
     """Immutable full enumeration of a finite group with index and inverse lookup.
 
     Elements are sorted by a canonical key (one-line images for permutations,
     flattened entries for matrices) so all downstream iteration is
     deterministic.  `generators` generates the group as a monoid (every
-    element is a positive word in it); it defaults to all elements.
+    element is a positive word in it); it defaults to all elements.  The
+    group's kind is worked out once, here: `field` is the matrix entries'
+    field (None for permutations), `is_permutation_group` says every element
+    is a Perm, and `is_symmetric_group` that they are all n! of them.
     """
 
     def __init__(
         self,
         elements: Iterable[GroupElement],
         n: int,
-        field_spec: FieldSpec | None = None,
         generators: Sequence[GroupElement] | None = None,
     ) -> None:
         self.elements: tuple[GroupElement, ...] = tuple(
             sorted(elements, key=lambda e: e.sort_key())
         )
         self.n = n
-        self.field = field_spec
         self._index = {g: i for i, g in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
@@ -303,6 +288,13 @@ class GroupTable:
         if not ident:
             raise ValueError("enumeration is missing the identity")
         self.identity: GroupElement = ident[0]
+        self.field: FieldSpec | None = (
+            self.identity.field if isinstance(self.identity, MatrixElement) else None
+        )
+        self.is_permutation_group: bool = all(isinstance(g, Perm) for g in self.elements)
+        self.is_symmetric_group: bool = (
+            self.is_permutation_group and len(self.elements) == math.factorial(n)
+        )
         self._inverses = {g: g.inverse() for g in self.elements}
         for g, gi in self._inverses.items():
             if gi not in self._index:
@@ -322,14 +314,6 @@ class GroupTable:
 
     def inverse(self, g: GroupElement) -> GroupElement:
         return self._inverses[g]
-
-    def is_permutation_group(self) -> bool:
-        return all(isinstance(g, Perm) for g in self.elements)
-
-    def is_symmetric_group(self) -> bool:
-        import math
-
-        return self.is_permutation_group() and len(self) == math.factorial(self.n)
 
     def adjacent_transposition(self, k: int) -> Perm:
         """s_k = (k k+1) for k < n, and s_n = (n 1); indices wrap modulo n."""
@@ -354,9 +338,7 @@ def symmetric_group(n: int) -> GroupTable:
     return enumerate_group(list(dict.fromkeys([transposition, long_cycle])))
 
 
-def enumerate_group(
-    generators: Sequence[GroupElement], cap: int = 10**6, field_spec: FieldSpec | None = None
-) -> GroupTable:
+def enumerate_group(generators: Sequence[GroupElement], cap: int = 10**6) -> GroupTable:
     """Close a generating set under products; errors past the cap.
 
     The closure starts at the identity and multiplies by generators on the
@@ -369,7 +351,6 @@ def enumerate_group(
         raise ValueError("mismatched dimensions among generators")
     if isinstance(generators[0], MatrixElement):
         ident: GroupElement = MatrixElement.identity(generators[0].field, n)
-        field_spec = generators[0].field
     else:
         ident = Perm.identity(n)
     seen = {ident}
@@ -385,4 +366,4 @@ def enumerate_group(
                     if len(seen) > cap:
                         raise ClosureCapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
-    return GroupTable(seen, n, field_spec, generators=generators)
+    return GroupTable(seen, n, generators=generators)

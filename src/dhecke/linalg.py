@@ -15,10 +15,6 @@ Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 
 
-def zero_vector(fs: FieldSpec, n: int) -> Vector:
-    return (fs.zero,) * n
-
-
 def basis_vector(fs: FieldSpec, n: int, i: int) -> Vector:
     """Unit coefficient vector for v_i (1-indexed)."""
     if not 1 <= i <= n:

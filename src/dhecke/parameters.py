@@ -202,10 +202,6 @@ class AlphaBeta:
     def beta_at(self, k: int) -> Scalar:
         return self.beta[(k - 1) % self.n]
 
-    def alpha_triple(self, i: int, j: int, k: int) -> Scalar:
-        a = self.alpha_at
-        return a(i, j) * a(j, k) + a(j, k) * a(k, i) + a(k, i) * a(i, j)
-
     def alpha_under(self, g: Perm, i: int, j: int) -> Scalar:
         """^g alpha_ij = alpha_{g(i) g(j)}."""
         return self.alpha_at(g(i), g(j))
@@ -219,7 +215,7 @@ def extract_alpha_beta(lam: LambdaParam) -> AlphaBeta:
         raise CharTwoUnsupported("alpha/beta extraction divides by 4 and 2")
     if n <= 2:
         raise ValueError("alpha/beta extraction needs n > 2")
-    if not lam.group.is_permutation_group():
+    if not lam.group.is_permutation_group:
         raise ValueError("alpha/beta extraction needs a permutation group")
     quarter = fs.inverse_of_integer(4)
     half = fs.inverse_of_integer(2)
@@ -361,7 +357,7 @@ def _list_field(obj, key: str, where: str, optional: bool = False) -> list:
 def element_from_json(data, group: GroupTable, where: str = "group element") -> GroupElement:
     if not isinstance(data, list) or not all(isinstance(x, (int, str)) for x in data):
         raise ValueError(f"{where} must be a list of entries, got {data!r}")
-    if group.is_permutation_group():
+    if group.is_permutation_group:
         g: GroupElement = Perm([int(x) for x in data])
     else:
         n = group.n
@@ -398,11 +394,10 @@ def algebra_element_from_json(
     return AlgebraElement.from_pairs(fs, pairs)
 
 
-def group_to_json(group: GroupTable, generators: Sequence[GroupElement] | None = None):
-    if group.is_symmetric_group():
+def group_to_json(group: GroupTable):
+    if group.is_symmetric_group:
         return {"type": "symmetric_permutation", "n": group.n}
-    gens = list(generators) if generators is not None else list(group.elements)
-    return {"type": "matrix", "generators": [element_to_json(g) for g in gens]}
+    return {"type": "matrix", "generators": [element_to_json(g) for g in group.generators]}
 
 
 def group_from_json(data, fs: FieldSpec, n: int) -> GroupTable:
@@ -418,11 +413,11 @@ def group_from_json(data, fs: FieldSpec, n: int) -> GroupTable:
                 raise ValueError(f"matrix generator must have {n * n} entries")
             rows = [[fs.parse(str(flat[r * n + c])) for c in range(n)] for r in range(n)]
             gens.append(MatrixElement(fs, rows))
-        return enumerate_group(gens, field_spec=fs)
+        return enumerate_group(gens)
     raise ValueError(f"unknown group type {kind!r}")
 
 
-def params_to_json(lam: LambdaParam, kappa: KappaParam, generators: Sequence[GroupElement] | None = None):
+def params_to_json(lam: LambdaParam, kappa: KappaParam):
     """Full-table parameter file; entries are explicit even when zero."""
     group = lam.group
     n = lam.n
@@ -439,7 +434,7 @@ def params_to_json(lam: LambdaParam, kappa: KappaParam, generators: Sequence[Gro
     return {
         "characteristic": lam.field.characteristic,
         "n": n,
-        "group": group_to_json(group, generators),
+        "group": group_to_json(group),
         "lambda": lam_entries,
         "kappa": kap_entries,
     }

@@ -128,7 +128,7 @@ def _cond1(
     """The cocycle identity at every (g, h, i) with g in gs (default: all of G)."""
     fs = lam.field
     n = lam.n
-    perm_case = lam.group.is_permutation_group()
+    perm_case = lam.group.is_permutation_group
     for g in lam.group if gs is None else gs:
         for h in lam.group:
             gh = g * h
@@ -147,7 +147,7 @@ def _cond1(
 def _cond2(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
     fs = lam.field
     n = lam.n
-    perm_case = lam.group.is_permutation_group()
+    perm_case = lam.group.is_permutation_group
     for g in lam.group:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -298,7 +298,7 @@ def diagnose_kappa_support(lam: LambdaParam, kappa: KappaParam) -> tuple[bool, l
                 problems.append(f"bireflection {g!r} has ker kappa_g != fixed space")
         else:
             problems.append(f"{g!r} in kappa support has fixed-space codim {codim} > 2")
-    if lam.group.is_symmetric_group() and kappa.n > 2:
+    if lam.group.is_symmetric_group and kappa.n > 2:
         for g in kappa.support():
             cycles = [c for c in g.cycles() if len(c) > 1]
             if not (len(cycles) == 1 and len(cycles[0]) == 3):
@@ -426,7 +426,7 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
 
     # lambda_{g(i j)}(g, v_i) = -lambda_{g(i j)}(g, v_j)
     ok = True
-    if group.is_permutation_group():
+    if group.is_permutation_group:
         for g in group:
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
@@ -440,7 +440,7 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
     results["row_sum_zero"] = all(lam.eval_vector(g, allv).is_zero() for g in group)
 
     # beta_1 + ... + beta_n = 0
-    if n > 2 and fs.characteristic != 2 and group.is_symmetric_group():
+    if n > 2 and fs.characteristic != 2 and group.is_symmetric_group:
         ab = extract_alpha_beta(lam)
         total = fs.zero
         for b in ab.beta:
@@ -451,7 +451,7 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
 
     # kappa coefficient equalities across each 3-cycle
     ok = True
-    if group.is_permutation_group() and n > 2:
+    if group.is_permutation_group and n > 2:
         for i, j, k in permutations(range(1, n + 1), 3):
             cyc = Perm.from_cycles(n, (i, j, k))
             base = kappa.coefficient(cyc, i, j)

@@ -64,6 +64,9 @@ class NotConfluent(RuntimeError):
 
 
 DEFAULT_STEP_BUDGET = 10**7
+# Longest word parse_word_sum will expand a power like "v1^k" into; a power
+# past it is refused before any memory is spent on its tokens.
+MAX_WORD_TOKENS = 10**6
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,13 @@ class OverlapWitness:
     family: str
     word: Word
     difference: tuple[tuple[NormalMonomial, Scalar], ...]
+
+    def to_json(self):
+        return {
+            "family": self.family,
+            "word": [t if isinstance(t, int) else repr(t) for t in self.word],
+            "difference": normal_form_to_json(dict(self.difference)),
+        }
 
 
 def _is_var(tok: Token) -> bool:
@@ -306,24 +316,16 @@ def nc_mul(field_spec: FieldSpec, x: NCSum, y: NCSum) -> NCSum:
     return out
 
 
-def nc_add(x: NCSum, y: NCSum) -> NCSum:
+def nc_sub(x: NCSum, y: NCSum) -> NCSum:
     out = dict(x)
     for w, c in y.items():
         prev = out.get(w)
-        total = c if prev is None else prev + c
+        total = -c if prev is None else prev - c
         if total:
             out[w] = total
         elif w in out:
             del out[w]
     return out
-
-
-def nc_neg(x: NCSum) -> NCSum:
-    return {w: -c for w, c in x.items()}
-
-
-def nc_sub(x: NCSum, y: NCSum) -> NCSum:
-    return nc_add(x, nc_neg(y))
 
 
 def from_algebra_element(x: AlgebraElement) -> NCSum:
@@ -345,7 +347,8 @@ def parse_word_sum(
     "M[[1,1],[0,1]]" (matrix, row lists).  Terms are "+"/"-"-separated
     words of whitespace- or interpunct-separated tokens with an optional
     leading scalar, e.g. "2 v1 v2 - g[2,1,3] v1".  A group token must act
-    on F^n, and must lie in `group` when one is given.
+    on F^n, and must lie in `group` when one is given.  A power "v1^k" may
+    not take its word past MAX_WORD_TOKENS tokens.
     """
     text = text.replace("·", " ").strip()
     if not text:
@@ -384,7 +387,10 @@ def parse_word_sum(
                 i = int(m.group(1))
                 if not 1 <= i <= n:
                     raise ValueError(f"variable index out of range: {tok}")
-                word.extend([i] * int(m.group(2) or 1))
+                k = int(m.group(2) or 1)
+                if len(word) + k > MAX_WORD_TOKENS:
+                    raise ValueError(f"token {tok} makes its word longer than {MAX_WORD_TOKENS} tokens")
+                word.extend([i] * k)
                 continue
             m = _PERM_RE.match(tok)
             if m:
@@ -420,6 +426,14 @@ def _group_token(tok: str, g: GroupElement, n: int, group: Optional[GroupTable])
     if group is not None and g not in group:
         raise ValueError(f"group token {tok} is not in the group")
     return g
+
+
+def normal_form_to_json(nf: dict[NormalMonomial, Scalar]) -> list[dict]:
+    """One {"exponents", "g", "coeff"} record per term, in sort_key order."""
+    return [
+        {"exponents": list(m.exponents), "g": repr(m.g), "coeff": str(c)}
+        for m, c in sorted(nf.items(), key=lambda t: t[0].sort_key())
+    ]
 
 
 def format_normal_form(nf: dict[NormalMonomial, Scalar]) -> str:

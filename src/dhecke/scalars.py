@@ -183,15 +183,3 @@ class Scalar:
             return f"{v.numerator}/{v.denominator}"
         return str(int(v))
 
-
-def scalar_arith(op: str, a: Scalar, b: Scalar) -> Scalar:
-    """Named dispatch over the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
@@ -174,6 +175,15 @@ def test_normal_form_bad_word_exit2(capsys):
     assert code == 2
 
 
+def test_normal_form_huge_power_exit2(capsys):
+    """A power past the word-length bound is refused before it is expanded."""
+    started = time.perf_counter()
+    code = main(["normal-form", "--input", str(FIXTURES / "golden_rule.json"), "--word", "v1^1000000000"])
+    assert time.perf_counter() - started < 5
+    err = assert_one_line_error(capsys, code)
+    assert "v1^1000000000" in err
+
+
 def test_convert_certificate(capsys, tmp_path):
     out = tmp_path / "converted.json"
     code, msg = run(
@@ -308,5 +318,20 @@ def test_check_malformed_params_exit2(capsys, tmp_path, payload, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     code = main(["check", "--input", str(path), "--method", "conditions"])
+    err = assert_one_line_error(capsys, code)
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"characteristic": 5, "n": 3, "b": 7}, "'b'"),
+        ([1], "JSON object"),
+    ],
+)
+def test_build_malformed_mu_exit2(capsys, tmp_path, payload, named):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(payload))
+    code = main(["build", "--mu", str(path)])
     err = assert_one_line_error(capsys, code)
     assert named in err

@@ -10,22 +10,22 @@ from dhecke import (
     FieldSpec,
     MatrixElement,
     Perm,
-    compose,
     enumerate_group,
-    fixed_space_codim,
-    reflection_length,
+    params_from_json,
     symmetric_group,
 )
 from dhecke.groups import ClosureCapExceeded, GroupTable
 from dhecke.linalg import basis_vector, same_subspace
+
+from conftest import load_fixture
 
 
 def test_compose_convention():
     # (1 2) after (2 3): i=1 -> 1 -> 2, i=2 -> 3, i=3 -> 2 -> 1
     g = Perm.from_cycles(3, (1, 2))
     h = Perm.from_cycles(3, (2, 3))
-    assert compose(g, h).images == (2, 3, 1)
-    assert compose(g, h) == Perm.from_cycles(3, (1, 2, 3))
+    assert (g * h).images == (2, 3, 1)
+    assert g * h == Perm.from_cycles(3, (1, 2, 3))
 
 
 def test_compose_inverse():
@@ -36,9 +36,9 @@ def test_compose_inverse():
 
 def test_compose_mismatched():
     with pytest.raises(ValueError):
-        compose(Perm([2, 1]), Perm([2, 1, 3]))
-    with pytest.raises(ValueError):
-        compose(Perm([2, 1]), MatrixElement(FieldSpec(5), [[FieldSpec(5).one]]))
+        Perm([2, 1]) * Perm([2, 1, 3])
+    with pytest.raises(TypeError):
+        Perm([2, 1]) * MatrixElement(FieldSpec(5), [[FieldSpec(5).one]])
 
 
 def test_matrix_involution_over_f2():
@@ -65,17 +65,17 @@ def test_matrix_action_example():
 
 
 def test_reflection_length():
-    assert reflection_length(Perm.identity(3)) == 0
-    assert reflection_length(Perm.from_cycles(3, (1, 2, 3))) == 2
-    assert reflection_length(Perm.from_cycles(4, (1, 2), (3, 4))) == 2
+    assert Perm.identity(3).reflection_length() == 0
+    assert Perm.from_cycles(3, (1, 2, 3)).reflection_length() == 2
+    assert Perm.from_cycles(4, (1, 2), (3, 4)).reflection_length() == 2
 
 
 def test_fixed_space_codim():
-    assert fixed_space_codim(Perm.from_cycles(4, (2, 3))) == 1
-    assert fixed_space_codim(Perm.from_cycles(3, (1, 2, 3))) == 2
+    assert Perm.from_cycles(4, (2, 3)).fixed_space_codim() == 1
+    assert Perm.from_cycles(3, (1, 2, 3)).fixed_space_codim() == 2
     fs = FieldSpec(2, allow_char2=True)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
-    assert fixed_space_codim(g) == 1
+    assert g.fixed_space_codim() == 1
 
 
 def test_perm_codim_matches_matrix_rank():
@@ -126,6 +126,18 @@ def test_group_table_generators_default_and_membership():
     assert GroupTable(elements, 3).generators == symmetric_group(3).elements
     with pytest.raises(ValueError):
         GroupTable(elements, 3, generators=[Perm([2, 1])])
+
+
+def test_group_table_kind_from_elements():
+    """The field and the kind come from the elements, worked out once."""
+    s3 = symmetric_group(3)
+    assert s3.field is None
+    assert s3.is_permutation_group and s3.is_symmetric_group
+    a3 = enumerate_group([Perm.from_cycles(3, (1, 2, 3))])
+    assert a3.is_permutation_group and not a3.is_symmetric_group
+    lam, _ = params_from_json(load_fixture("example_4_3.json"))
+    assert lam.group.field == FieldSpec(2, allow_char2=True)
+    assert not lam.group.is_permutation_group and not lam.group.is_symmetric_group
 
 
 def test_enumerate_matrix_group():

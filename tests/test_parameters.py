@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 
 import pytest
@@ -22,7 +23,14 @@ from dhecke import (
 from dhecke.linalg import basis_vector
 from dhecke.scalars import CharTwoUnsupported
 
-from conftest import build_char2_matrix_pair
+from conftest import FIXTURES, build_char2_matrix_pair, load_fixture
+
+_spec = importlib.util.spec_from_file_location(
+    "make_fixtures", FIXTURES.parent / "scripts" / "make_fixtures.py"
+)
+make_fixtures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_fixtures)
+FIXTURE_PAYLOADS = make_fixtures.fixtures()
 
 
 def test_kappa_alternating(unit_block_n3, F5):
@@ -228,6 +236,18 @@ def test_json_round_trip_matrix_group():
     data = params_to_json(lam, kap)
     lam2, kap2 = params_from_json(data)
     assert lam2 == lam and kap2 == kap
+
+
+def test_json_round_trip_keeps_matrix_generators():
+    """A loaded matrix group is written back with its generators, not all of G."""
+    data = load_fixture("example_4_3.json")
+    assert params_to_json(*params_from_json(data))["group"] == data["group"]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PAYLOADS))
+def test_make_fixtures_reproduces_committed_fixture(name):
+    rendered = make_fixtures.render(FIXTURE_PAYLOADS[name])
+    assert rendered == (FIXTURES / name).read_text(encoding="utf-8")
 
 
 def test_json_rejects_bad_kappa_order(unit_block_n3):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from math import comb
 
 import pytest
@@ -21,7 +22,7 @@ from dhecke import (
     parse_word_sum,
     symmetric_group,
 )
-from dhecke.rewrite import NotConfluent, StepBudgetExceeded, ranking
+from dhecke.rewrite import MAX_WORD_TOKENS, NotConfluent, StepBudgetExceeded, ranking
 
 from conftest import build_char2_matrix_pair, load_fixture, sweep_grid, unit_block_mu
 
@@ -236,6 +237,15 @@ def test_parse_word_sum_exponents(F5):
     assert parse_word_sum("v1^3", F5, 3) == {(1, 1, 1): F5.one}
 
 
+def test_parse_word_sum_bounds_word_length(F5):
+    (word,) = parse_word_sum(f"v1^{MAX_WORD_TOKENS}", F5, 3)
+    assert len(word) == MAX_WORD_TOKENS
+    with pytest.raises(ValueError, match=re.escape(f"v1^{MAX_WORD_TOKENS}")):
+        parse_word_sum(f"v2 v1^{MAX_WORD_TOKENS}", F5, 3)
+    with pytest.raises(ValueError, match=re.escape("v3^1000000000")):
+        parse_word_sum("v1 + v3^1000000000", F5, 3)
+
+
 def test_parse_word_sum_errors(F5):
     with pytest.raises(ValueError):
         parse_word_sum("v9", F5, 3)
@@ -314,12 +324,12 @@ def test_parse_word_sum_rejects_tokens_outside_group(F7):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.text(alphabet="vgM[],/0123456789+- ", max_size=24))
+@given(st.text(alphabet="vgM[],/0123456789+-^ ", max_size=24))
 def test_parse_word_sum_fuzz_returns_or_raises_value_error(text):
     """Any word text either parses or raises ValueError.
 
-    '^' is left out of the alphabet: an exponent is expanded into that many
-    tokens, with no bound.
+    An exponent expands into at most MAX_WORD_TOKENS tokens, so '^' is safe
+    to fuzz.
     """
     fs = FieldSpec(5)
     try:
