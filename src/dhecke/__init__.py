@@ -18,12 +18,10 @@ from .groups import (
 )
 from .group_algebra import AlgebraElement
 from .parameters import (
-    AlphaBeta,
     KappaParam,
     LambdaParam,
     act_on_kappa,
     act_on_lambda,
-    extract_alpha_beta,
     params_from_json,
     params_to_json,
     random_params,
@@ -54,7 +52,6 @@ from .convert import ConversionResult, NotPBWInput, convert, gamma, verify_isomo
 
 __all__ = [
     "AlgebraElement",
-    "AlphaBeta",
     "CharTwoUnsupported",
     "ConditionReport",
     "ConversionResult",
@@ -84,7 +81,6 @@ __all__ = [
     "diagnose_kappa_support",
     "diagnose_lambda",
     "enumerate_group",
-    "extract_alpha_beta",
     "extract_mu",
     "format_normal_form",
     "gamma",

@@ -19,7 +19,15 @@ from typing import Sequence
 
 from .groups import GroupElement, Perm, symmetric_group
 from .group_algebra import AlgebraElement
-from .parameters import KappaParam, LambdaParam, _field, _int_field, _list_field, extract_alpha_beta
+from .parameters import (
+    KappaParam,
+    LambdaParam,
+    _field,
+    _int_field,
+    _int_value,
+    _list_field,
+    _scalar_value,
+)
 from .scalars import CharTwoUnsupported, FieldSpec, Scalar
 
 
@@ -42,10 +50,10 @@ class MuParams:
             raise ValueError("the mu tuple is defined for n > 2")
         self.field = field_spec
         self.n = n
-        self.a = {k: v for k, v in a.items() if v}
-        for i, j in self.a:
+        for i, j in a:
             if not 1 <= i < j <= n:
                 raise ValueError(f"a-table key must have 1 <= i < j <= n, got {(i, j)}")
+        self.a = {k: v for k, v in a.items() if v}
         if len(b) != n - 1:
             raise ValueError(f"need exactly {n - 1} b-values, got {len(b)}")
         self.b = tuple(b)
@@ -115,9 +123,7 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
                 if c:
                     t = g * Perm.transposition(n, i, j)
                     coeffs[t] = coeffs.get(t, fs.zero) + c
-            val = AlgebraElement(fs, coeffs)
-            if not val.is_zero():
-                lam_table[(g, i)] = val
+            lam_table[(g, i)] = AlgebraElement(fs, coeffs)
     a123 = mu.a_triple(1, 2, 3)
     kap_table: dict[tuple[int, int], AlgebraElement] = {}
     for i in range(1, n + 1):
@@ -132,14 +138,31 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
                     bwd = Perm.from_cycles(n, (i, k, j))
                     coeffs[fwd] = coeffs.get(fwd, fs.zero) + c
                     coeffs[bwd] = coeffs.get(bwd, fs.zero) - c
-            val = AlgebraElement(fs, coeffs)
-            if not val.is_zero():
-                kap_table[(i, j)] = val
+            kap_table[(i, j)] = AlgebraElement(fs, coeffs)
     return LambdaParam(group, fs, lam_table), KappaParam(fs, n, kap_table)
 
 
+def _read_betas(lam: LambdaParam) -> tuple[Scalar, ...]:
+    """beta_k = (1/2) lambda_{s_k}(s_k, v_k - v_{k+1}) for k = 1..n, indices modulo n.
+
+    beta_n is read off lambda, not derived; on a PBW pair it equals
+    -(beta_1 + ... + beta_{n-1}), which `lemma_suite` checks.
+    """
+    n = lam.n
+    half = lam.field.inverse_of_integer(2)
+    betas = []
+    for k in range(1, n + 1):
+        s_k = lam.group.adjacent_transposition(k)
+        betas.append(half * (lam.at(s_k, k) - lam.at(s_k, k % n + 1)).coefficient(s_k))
+    return tuple(betas)
+
+
 def extract_mu(lam: LambdaParam, kappa: KappaParam) -> MuParams:
-    """Read the mu tuple off a PBW pair (the caller vouches for PBW-ness)."""
+    """Read the mu tuple off a PBW pair (the caller vouches for PBW-ness).
+
+    a_ij = (1/4) lambda_1((i j), v_i - v_j), b_k as in `_read_betas`, and c
+    is kappa's coefficient of (1 2 3) at (v_1, v_2).
+    """
     fs = lam.field
     n = lam.n
     if fs.characteristic == 2:
@@ -148,14 +171,14 @@ def extract_mu(lam: LambdaParam, kappa: KappaParam) -> MuParams:
         raise ValueError("mu extraction needs n > 2 (no 3-cycles exist below)")
     if not lam.group.is_symmetric_group:
         raise ValueError("mu extraction is defined for the full symmetric group")
-    ab = extract_alpha_beta(lam)
-    a = {
-        (i, j): ab.alpha_at(i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if ab.alpha_at(i, j)
-    }
-    b = tuple(ab.beta[k] for k in range(n - 1))
+    quarter = fs.inverse_of_integer(4)
+    ident = lam.group.identity
+    a: dict[tuple[int, int], Scalar] = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            t = Perm.transposition(n, i, j)
+            a[(i, j)] = quarter * (lam.at(t, i) - lam.at(t, j)).coefficient(ident)
+    b = _read_betas(lam)[: n - 1]
     c = kappa.coefficient(Perm.from_cycles(n, (1, 2, 3)), 1, 2)
     return MuParams(fs, n, a, b, c)
 
@@ -253,9 +276,7 @@ def two_param_family(a: Scalar, b: Scalar, n: int, field_spec: FieldSpec) -> tup
                     continue
                 coeffs[Perm.from_cycles(n, (i, j, k))] = b
                 coeffs[Perm.from_cycles(n, (i, k, j))] = -b
-            val = AlgebraElement(fs, coeffs)
-            if not val.is_zero():
-                kap_table[(i, j)] = val
+            kap_table[(i, j)] = AlgebraElement(fs, coeffs)
     return LambdaParam(group, fs, lam_table), KappaParam(fs, n, kap_table)
 
 
@@ -304,8 +325,14 @@ def mu_from_json(data, field_spec: FieldSpec | None = None, n: int | None = None
         raise ValueError(f"{top} field 'a' must be a JSON object, got {type(a_data).__name__}")
     a: dict[tuple[int, int], Scalar] = {}
     for key, sval in a_data.items():
-        i_s, j_s = key.split(",")
-        a[(int(i_s), int(j_s))] = field_spec.parse(str(sval))
-    b = tuple(field_spec.parse(str(s)) for s in b_data)
-    c = field_spec.parse(str(_field(data, "c", top)))
+        where = f"{top} field 'a' key {key!r}"
+        parts = key.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{where} must be two indices written 'i,j'")
+        i, j = (_int_value(x, where) for x in parts)
+        a[(i, j)] = _scalar_value(sval, field_spec, f"{top} field 'a' entry {key!r}")
+    b = tuple(
+        _scalar_value(x, field_spec, f"{top} field 'b' entry {k}") for k, x in enumerate(b_data)
+    )
+    c = _scalar_value(_field(data, "c", top), field_spec, f"{top} field 'c'")
     return MuParams(field_spec, n, a, b, c)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .classify import build_H_mu, extract_mu, mu_from_json, mu_to_json
 from .convert import NotPBWInput, convert, verify_isomorphism
+from .groups import ClosureCapExceeded
 from .parameters import (
     LambdaParam,
     algebra_element_to_json,
@@ -152,10 +153,11 @@ def cmd_convert(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    fs = FieldSpec(args.char, allow_char2=args.force_char2)
-    if fs.characteristic == 2:
-        print("cross-validation needs the five-condition method; characteristic 2 unsupported")
-        return 2
+    if args.char == 2:
+        raise CharTwoUnsupported(
+            "cross-validation needs the five-condition test, which is not available in characteristic 2"
+        )
+    fs = FieldSpec(args.char)
     profiles = ("general", "mu-family", "perturbed-mu")
     matrix = {"true/true": 0, "false/false": 0, "true/false": 0, "false/true": 0}
     mismatches = []
@@ -230,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force-char2", action="store_true")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_crossval)
 
@@ -242,8 +243,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except ClosureCapExceeded as exc:
+        print(f"group too large: {exc}", file=sys.stderr)
         return 2
     except CharTwoUnsupported as exc:
         print(f"characteristic-2 gate: {exc}", file=sys.stderr)

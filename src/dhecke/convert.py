@@ -73,15 +73,13 @@ def convert(lam: LambdaParam, kappa_prime: KappaParam) -> ConversionResult:
     table: dict[tuple[int, int], AlgebraElement] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            val = (
+            table[(i, j)] = (
                 g[i] * g[j]
                 - g[j] * g[i]
                 + lam.eval(g[i], basis_vector(fs, n, j))
                 - lam.eval(g[j], basis_vector(fs, n, i))
                 + kappa_prime.at(i, j)
             )
-            if not val.is_zero():
-                table[(i, j)] = val
     return ConversionResult(gamma=g, kappa_converted=KappaParam(fs, n, table))
 
 

@@ -22,6 +22,11 @@ class ClosureCapExceeded(RuntimeError):
     """Group closure grew past the configured cap."""
 
 
+# The largest group `enumerate_group` builds by default; `symmetric_group`
+# refuses an S_n past it before enumerating anything.
+CLOSURE_CAP = 10**6
+
+
 class Perm:
     """A permutation of {1..n} stored as the tuple of images (g(1), ..., g(n))."""
 
@@ -333,12 +338,17 @@ def symmetric_group(n: int) -> GroupTable:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > CLOSURE_CAP:
+            raise ClosureCapExceeded(f"S_{n} has {n}! elements, more than the cap {CLOSURE_CAP}")
     transposition = Perm.from_cycles(n, (1, 2)) if n > 1 else Perm.identity(n)
     long_cycle = Perm.from_cycles(n, tuple(range(1, n + 1)))
     return enumerate_group(list(dict.fromkeys([transposition, long_cycle])))
 
 
-def enumerate_group(generators: Sequence[GroupElement], cap: int = 10**6) -> GroupTable:
+def enumerate_group(generators: Sequence[GroupElement], cap: int = CLOSURE_CAP) -> GroupTable:
     """Close a generating set under products; errors past the cap.
 
     The closure starts at the identity and multiplies by generators on the

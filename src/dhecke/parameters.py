@@ -4,10 +4,9 @@ kappa : V (x) V -> FG   (alternating; stored on index pairs i < j)
 lambda: FG (x) V -> FG  (stored on (group element, basis index); absent
                          entries read as zero)
 
-Also here: the conjugation-twisted group action on parameters, the
-alpha/beta scalar extraction for the symmetric group, seeded random
-parameter generation, and the JSON parameter-file format shared by the
-CLI and the fixture corpus.
+Also here: the conjugation-twisted group action on parameters, seeded
+random parameter generation, and the JSON parameter-file format shared by
+the CLI and the fixture corpus.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Sequence
 from .groups import GroupElement, GroupTable, MatrixElement, Perm, enumerate_group, symmetric_group
 from .group_algebra import AlgebraElement
 from .linalg import basis_vector
-from .scalars import CharTwoUnsupported, FieldSpec, Scalar
+from .scalars import FieldSpec, ModularObstruction, Scalar
 
 
 class KappaParam:
@@ -27,6 +26,7 @@ class KappaParam:
     def __init__(self, field_spec: FieldSpec, n: int, table: dict[tuple[int, int], AlgebraElement] | None = None) -> None:
         self.field = field_spec
         self.n = n
+        self._zero = AlgebraElement.zero(field_spec)  # the one value of every absent entry
         self.table: dict[tuple[int, int], AlgebraElement] = {}
         if table:
             for (i, j), val in table.items():
@@ -38,10 +38,10 @@ class KappaParam:
     def at(self, i: int, j: int) -> AlgebraElement:
         """kappa(v_i, v_j) with the alternating convention built in."""
         if i == j:
-            return AlgebraElement.zero(self.field)
+            return self._zero
         if i < j:
-            return self.table.get((i, j), AlgebraElement.zero(self.field))
-        return -self.table.get((j, i), AlgebraElement.zero(self.field))
+            return self.table.get((i, j), self._zero)
+        return -self.table.get((j, i), self._zero)
 
     def coefficient(self, g: GroupElement, i: int, j: int) -> Scalar:
         return self.at(i, j).coefficient(g)
@@ -88,6 +88,7 @@ class LambdaParam:
         self.group = group
         self.field = field_spec
         self.n = group.n
+        self._zero = AlgebraElement.zero(field_spec)  # the one value of every absent entry
         self.table: dict[tuple[GroupElement, int], AlgebraElement] = {}
         if table:
             for (g, i), val in table.items():
@@ -99,7 +100,7 @@ class LambdaParam:
                     self.table[(g, i)] = val
 
     def at(self, g: GroupElement, i: int) -> AlgebraElement:
-        return self.table.get((g, i), AlgebraElement.zero(self.field))
+        return self.table.get((g, i), self._zero)
 
     def coefficient(self, h: GroupElement, g: GroupElement, i: int) -> Scalar:
         """The scalar lambda_h(g, v_i)."""
@@ -152,9 +153,7 @@ def act_on_kappa(h: GroupElement, kappa: KappaParam) -> KappaParam:
         for j in range(i + 1, n + 1):
             u = hinv.act_on_vector(basis_vector(fs, n, i))
             v = hinv.act_on_vector(basis_vector(fs, n, j))
-            val = kappa.eval(u, v).conjugate_by(h)
-            if not val.is_zero():
-                table[(i, j)] = val
+            table[(i, j)] = kappa.eval(u, v).conjugate_by(h)
     return KappaParam(fs, n, table)
 
 
@@ -168,73 +167,8 @@ def act_on_lambda(h: GroupElement, lam: LambdaParam) -> LambdaParam:
         conj = hinv * g * h
         for i in range(1, n + 1):
             v = hinv.act_on_vector(basis_vector(fs, n, i))
-            val = lam.eval_vector(conj, v).conjugate_by(h)
-            if not val.is_zero():
-                table[(g, i)] = val
+            table[(g, i)] = lam.eval_vector(conj, v).conjugate_by(h)
     return LambdaParam(lam.group, fs, table)
-
-
-# -- alpha/beta extraction (symmetric group, char != 2) ----------------------
-
-
-class AlphaBeta:
-    """The scalars determining lambda on a symmetric group.
-
-    alpha is antisymmetric (alpha_ji = -alpha_ij); beta indices are read
-    modulo n with representative in {1..n}.
-    """
-
-    def __init__(self, field_spec: FieldSpec, n: int, alpha: dict[tuple[int, int], Scalar], beta: Sequence[Scalar]) -> None:
-        self.field = field_spec
-        self.n = n
-        self.alpha = dict(alpha)
-        self.beta = tuple(beta)
-        if len(self.beta) != n:
-            raise ValueError("need one beta per index 1..n")
-
-    def alpha_at(self, i: int, j: int) -> Scalar:
-        if i == j:
-            raise ValueError("alpha is defined for distinct indices")
-        if i < j:
-            return self.alpha.get((i, j), self.field.zero)
-        return -self.alpha.get((j, i), self.field.zero)
-
-    def beta_at(self, k: int) -> Scalar:
-        return self.beta[(k - 1) % self.n]
-
-    def alpha_under(self, g: Perm, i: int, j: int) -> Scalar:
-        """^g alpha_ij = alpha_{g(i) g(j)}."""
-        return self.alpha_at(g(i), g(j))
-
-
-def extract_alpha_beta(lam: LambdaParam) -> AlphaBeta:
-    """Read off alpha_ij = (1/4) lambda_1((i j), v_i - v_j) and the betas."""
-    fs = lam.field
-    n = lam.n
-    if fs.characteristic == 2:
-        raise CharTwoUnsupported("alpha/beta extraction divides by 4 and 2")
-    if n <= 2:
-        raise ValueError("alpha/beta extraction needs n > 2")
-    if not lam.group.is_permutation_group:
-        raise ValueError("alpha/beta extraction needs a permutation group")
-    quarter = fs.inverse_of_integer(4)
-    half = fs.inverse_of_integer(2)
-    ident = lam.group.identity
-    alpha: dict[tuple[int, int], Scalar] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            t = Perm.transposition(n, i, j)
-            c = (lam.at(t, i) - lam.at(t, j)).coefficient(ident)
-            val = quarter * c
-            if val:
-                alpha[(i, j)] = val
-    beta = []
-    for k in range(1, n + 1):
-        s_k = lam.group.adjacent_transposition(k)
-        kk = (k % n) + 1  # k+1 modulo n, in {1..n}
-        c = (lam.at(s_k, k) - lam.at(s_k, kk)).coefficient(s_k)
-        beta.append(half * c)
-    return AlphaBeta(fs, n, alpha, beta)
 
 
 # -- random parameters -------------------------------------------------------
@@ -337,13 +271,32 @@ def _field(obj, key: str, where: str):
     return obj[key]
 
 
-def _int_field(obj, key: str, where: str) -> int:
-    value = _field(obj, key, where)
+def _int_value(value, where: str) -> int:
+    """An integer written as a JSON number or a digit string, or a ValueError naming `where`."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
-        return int(value)
-    raise ValueError(f"{where} field {key!r} must be an integer, got {value!r}")
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
+def _int_field(obj, key: str, where: str) -> int:
+    return _int_value(_field(obj, key, where), f"{where} field {key!r}")
+
+
+def _scalar_value(value, fs: FieldSpec, where: str) -> Scalar:
+    """A scalar written as an integer or a "num/den" string, or a ValueError naming `where`."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return fs.parse(str(value))
+        except ModularObstruction as exc:
+            raise ModularObstruction(f"{where}: {exc}") from None
+        except ValueError:
+            pass
+    raise ValueError(f"{where} must be a scalar such as \"3\" or \"-1/2\", got {value!r}")
 
 
 def _list_field(obj, key: str, where: str, optional: bool = False) -> list:
@@ -354,18 +307,21 @@ def _list_field(obj, key: str, where: str, optional: bool = False) -> list:
     return value
 
 
+def _matrix_from_json(flat, fs: FieldSpec, n: int, where: str) -> MatrixElement:
+    """A matrix written as its n*n row-major entries."""
+    if not isinstance(flat, list) or len(flat) != n * n:
+        raise ValueError(f"{where} must be a list of {n * n} matrix entries, got {flat!r}")
+    entries = [_scalar_value(x, fs, f"{where} entry {k}") for k, x in enumerate(flat)]
+    return MatrixElement(fs, [entries[r * n : (r + 1) * n] for r in range(n)])
+
+
 def element_from_json(data, group: GroupTable, where: str = "group element") -> GroupElement:
-    if not isinstance(data, list) or not all(isinstance(x, (int, str)) for x in data):
+    if not isinstance(data, list):
         raise ValueError(f"{where} must be a list of entries, got {data!r}")
     if group.is_permutation_group:
-        g: GroupElement = Perm([int(x) for x in data])
+        g: GroupElement = Perm([_int_value(x, f"{where} entry {k}") for k, x in enumerate(data)])
     else:
-        n = group.n
-        if len(data) != n * n:
-            raise ValueError(f"matrix entry list must have {n * n} entries")
-        fs = group.field
-        rows = [[fs.parse(str(data[r * n + c])) for c in range(n)] for r in range(n)]
-        g = MatrixElement(fs, rows)
+        g = _matrix_from_json(data, group.field, group.n, where)
     if g not in group:
         raise ValueError(f"element {g!r} is not in the declared group")
     return g
@@ -386,17 +342,20 @@ def algebra_element_from_json(
     pairs = []
     for k, t in enumerate(data):
         term = f"{where} term {k}"
-        coeff = _field(t, "coeff", term)
-        if not isinstance(coeff, (int, str)) or isinstance(coeff, bool):
-            raise ValueError(f"{term} field 'coeff' must be a string, got {coeff!r}")
+        coeff = _scalar_value(_field(t, "coeff", term), fs, f"{term} field 'coeff'")
         g = element_from_json(_field(t, "g", term), group, f"{term} field 'g'")
-        pairs.append((g, fs.parse(str(coeff))))
+        pairs.append((g, coeff))
     return AlgebraElement.from_pairs(fs, pairs)
 
 
 def group_to_json(group: GroupTable):
     if group.is_symmetric_group:
         return {"type": "symmetric_permutation", "n": group.n}
+    if group.is_permutation_group:
+        raise ValueError(
+            f"the permutation group generated by {list(group.generators)} is not all of "
+            f"S_{group.n}, and parameter files hold only S_n or a matrix group"
+        )
     return {"type": "matrix", "generators": [element_to_json(g) for g in group.generators]}
 
 
@@ -407,12 +366,10 @@ def group_from_json(data, fs: FieldSpec, n: int) -> GroupTable:
             raise ValueError("group n disagrees with the file n")
         return symmetric_group(n)
     if kind == "matrix":
-        gens = []
-        for flat in _list_field(data, "generators", "group"):
-            if not isinstance(flat, list) or len(flat) != n * n:
-                raise ValueError(f"matrix generator must have {n * n} entries")
-            rows = [[fs.parse(str(flat[r * n + c])) for c in range(n)] for r in range(n)]
-            gens.append(MatrixElement(fs, rows))
+        gens = [
+            _matrix_from_json(flat, fs, n, f"group generator {k}")
+            for k, flat in enumerate(_list_field(data, "generators", "group"))
+        ]
         return enumerate_group(gens)
     raise ValueError(f"unknown group type {kind!r}")
 
@@ -454,6 +411,8 @@ def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
         where = f"lambda entry {k}"
         g = element_from_json(_field(entry, "g", where), group, f"{where} field 'g'")
         i = _int_field(entry, "i", where)
+        if not 1 <= i <= n:
+            raise ValueError(f"{where} field 'i' must be in 1..{n}, got {i}")
         val = algebra_element_from_json(_field(entry, "value", where), group, fs, f"{where} value")
         if not val.is_zero():
             if (g, i) in lam_table:
@@ -463,8 +422,8 @@ def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
     for k, entry in enumerate(_list_field(data, "kappa", top, optional=True)):
         where = f"kappa entry {k}"
         i, j = _int_field(entry, "i", where), _int_field(entry, "j", where)
-        if not i < j:
-            raise ValueError(f"kappa entries require i < j, got {(i, j)}")
+        if not 1 <= i < j <= n:
+            raise ValueError(f"{where} needs 1 <= i < j <= {n}, got {(i, j)}")
         val = algebra_element_from_json(_field(entry, "value", where), group, fs, f"{where} value")
         if not val.is_zero():
             if (i, j) in kap_table:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Optional, Sequence, Union
 
+from .classify import _read_betas
 from .groups import GroupElement, Perm
 from .group_algebra import AlgebraElement
 from .linalg import (
@@ -59,7 +60,6 @@ from .parameters import (
     LambdaParam,
     algebra_element_to_json,
     element_to_json,
-    extract_alpha_beta,
 )
 from .scalars import CharTwoUnsupported
 
@@ -286,8 +286,7 @@ def diagnose_kappa_support(lam: LambdaParam, kappa: KappaParam) -> tuple[bool, l
         if codim == 1:
             for a in range(len(fixed)):
                 for b in range(len(fixed)):
-                    coeff = _kappa_on_vectors(kappa, g, fixed[a], fixed[b])
-                    if coeff:
+                    if kappa.eval(fixed[a], fixed[b]).coefficient(g):
                         problems.append(f"reflection {g!r} has nonzero kappa_g on its fixed space")
         elif codim == 2:
             rows = [
@@ -304,16 +303,6 @@ def diagnose_kappa_support(lam: LambdaParam, kappa: KappaParam) -> tuple[bool, l
             if not (len(cycles) == 1 and len(cycles[0]) == 3):
                 problems.append(f"kappa support contains the non-3-cycle {g!r}")
     return not problems, problems
-
-
-def _kappa_on_vectors(kappa: KappaParam, g: GroupElement, u: Vector, v: Vector):
-    total = kappa.field.zero
-    for i in range(1, kappa.n + 1):
-        for j in range(1, kappa.n + 1):
-            c = u[i - 1] * v[j - 1]
-            if c:
-                total = total + c * kappa.coefficient(g, i, j)
-    return total
 
 
 def diagnose_lambda(lam: LambdaParam) -> tuple[bool, list[str]]:
@@ -441,11 +430,7 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
 
     # beta_1 + ... + beta_n = 0
     if n > 2 and fs.characteristic != 2 and group.is_symmetric_group:
-        ab = extract_alpha_beta(lam)
-        total = fs.zero
-        for b in ab.beta:
-            total = total + b
-        results["beta_sum_zero"] = not total
+        results["beta_sum_zero"] = not sum(_read_betas(lam), fs.zero)
     else:
         results["beta_sum_zero"] = True
 

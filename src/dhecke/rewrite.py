@@ -255,14 +255,7 @@ class RewriteSystem:
         right = self.normal_form(self._apply_rule(word, 1))
         if left == right:
             return None
-        diff: dict[NormalMonomial, Scalar] = dict(left)
-        for mono, c in right.items():
-            prev = diff.get(mono)
-            total = -c if prev is None else prev - c
-            if total:
-                diff[mono] = total
-            elif mono in diff:
-                del diff[mono]
+        diff = nc_sub(left, right)
         return OverlapWitness(
             family, word, tuple(sorted(diff.items(), key=lambda t: t[0].sort_key()))
         )
@@ -317,6 +310,7 @@ def nc_mul(field_spec: FieldSpec, x: NCSum, y: NCSum) -> NCSum:
 
 
 def nc_sub(x: NCSum, y: NCSum) -> NCSum:
+    """x - y without zero coefficients; also used on normal-form sums."""
     out = dict(x)
     for w, c in y.items():
         prev = out.get(w)

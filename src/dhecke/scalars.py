@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 
@@ -85,11 +86,17 @@ class FieldSpec:
             return self(Fraction(int(num_s), int(den_s)))
         return self(int(text))
 
-    @property
+    def __reduce__(self):
+        # Pickle the declared fields only, not the cached zero and one below.
+        return FieldSpec, (self.characteristic, self.allow_char2)
+
+    # Built on first use and kept: scalars are immutable, so one zero and one
+    # one per field serve every caller.
+    @cached_property
     def zero(self) -> "Scalar":
         return self(0)
 
-    @property
+    @cached_property
     def one(self) -> "Scalar":
         return self(1)
 

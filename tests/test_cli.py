@@ -312,6 +312,31 @@ def test_normal_form_group_token_outside_group_exit2(capsys, fixture, word):
              "kappa": [{"i": 1, "j": 2, "value": [{"g": [1, 2, 3], "coeff": None}]}]},
             "'coeff'",
         ),
+        (
+            {"characteristic": 5, "n": 3, "group": {"type": "symmetric_permutation", "n": 3},
+             "kappa": [{"i": 1, "j": 2, "value": [{"g": [1, 2, 3], "coeff": "x"}]}]},
+            "kappa entry 0 value term 0 field 'coeff'",
+        ),
+        (  # a denominator that vanishes in the field
+            {"characteristic": 5, "n": 3, "group": {"type": "symmetric_permutation", "n": 3},
+             "kappa": [{"i": 1, "j": 2, "value": [{"g": [1, 2, 3], "coeff": "1/5"}]}]},
+            "kappa entry 0 value term 0 field 'coeff'",
+        ),
+        (
+            {"characteristic": 5, "n": 2, "group": {"type": "matrix", "generators": [["4", "0", "0", "y"]]}},
+            "group generator 0 entry 3",
+        ),
+        (  # an index out of range is refused even when the value is empty
+            {"characteristic": 5, "n": 3, "group": {"type": "symmetric_permutation", "n": 3},
+             "lambda": [{"g": [1, 2, 3], "i": 9, "value": []}]},
+            "lambda entry 0 field 'i'",
+        ),
+        (
+            {"characteristic": 5, "n": 3, "group": {"type": "symmetric_permutation", "n": 3},
+             "kappa": [{"i": 1, "j": 4, "value": []}]},
+            "kappa entry 0",
+        ),
+        ({"characteristic": "+-5", "n": 3}, "'characteristic'"),
     ],
 )
 def test_check_malformed_params_exit2(capsys, tmp_path, payload, named):
@@ -327,6 +352,10 @@ def test_check_malformed_params_exit2(capsys, tmp_path, payload, named):
     [
         ({"characteristic": 5, "n": 3, "b": 7}, "'b'"),
         ([1], "JSON object"),
+        ({"characteristic": 5, "n": 3, "a": {"1;2": "1"}, "b": ["1", "1"], "c": "1"}, "field 'a' key '1;2'"),
+        ({"characteristic": 5, "n": 3, "b": ["1", "x"], "c": "1"}, "field 'b' entry 1"),
+        ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "zz"}, "field 'c'"),
+        ({"characteristic": 5, "n": 3, "a": {"1,9": "0"}, "b": ["1", "1"], "c": "1"}, "a-table key"),
     ],
 )
 def test_build_malformed_mu_exit2(capsys, tmp_path, payload, named):
@@ -335,3 +364,37 @@ def test_build_malformed_mu_exit2(capsys, tmp_path, payload, named):
     code = main(["build", "--mu", str(path)])
     err = assert_one_line_error(capsys, code)
     assert named in err
+
+
+def test_check_group_too_large_refused_before_enumerating(capsys, tmp_path, monkeypatch):
+    import dhecke.groups
+
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerate_group was called")
+
+    monkeypatch.setattr(dhecke.groups, "enumerate_group", fail)
+    path = tmp_path / "s10.json"
+    path.write_text(json.dumps({"characteristic": 5, "n": 10, "group": {"type": "symmetric_permutation", "n": 10}}))
+    code = main(["check", "--input", str(path)])
+    err = assert_one_line_error(capsys, code)
+    assert "S_10" in err
+
+
+@pytest.mark.parametrize("flag", ["--input", "--out"])
+def test_check_directory_path_exit2(capsys, tmp_path, flag):
+    paths = {"--input": str(FIXTURES / "golden_rule.json"), "--out": str(tmp_path / "report.json")}
+    paths[flag] = str(tmp_path)
+    code = main(["check", "--input", paths["--input"], "--method", "conditions", "--out", paths["--out"]])
+    err = assert_one_line_error(capsys, code)
+    assert str(tmp_path) in err
+
+
+def test_crossval_char2_exit2(capsys):
+    code = main(["crossval", "--n", "3", "--char", "2", "--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+    assert "characteristic 2" in captured.err and "flag" not in captured.err and "--" not in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["crossval", "--n", "3", "--char", "2", "--force-char2"])
+    assert exc.value.code == 2

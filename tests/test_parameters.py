@@ -12,14 +12,17 @@ from dhecke import (
     Perm,
     act_on_kappa,
     act_on_lambda,
+    KappaParam,
     check_pbw,
-    extract_alpha_beta,
+    enumerate_group,
+    extract_mu,
     golden_rule,
     params_from_json,
     params_to_json,
     random_params,
     symmetric_group,
 )
+from dhecke.classify import _read_betas
 from dhecke.linalg import basis_vector
 from dhecke.scalars import CharTwoUnsupported
 
@@ -132,70 +135,67 @@ def test_parameter_action_preserves_pbw_verdict(F5):
 
 
 def test_alpha_beta_of_golden_rule(F5):
-    lam, _ = golden_rule(4, F5)
-    ab = extract_alpha_beta(lam)
+    lam, kap = golden_rule(4, F5)
+    mu = extract_mu(lam, kap)
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert not ab.alpha_at(i, j)
-    assert ab.beta[:3] == (F5.one, F5.one, F5.one)
-    assert ab.beta[3] == F5(1 - 4)
+            assert not mu.a_at(i, j)
+    assert mu.b == (F5.one, F5.one, F5.one)
+    assert _read_betas(lam)[3] == F5(1 - 4)
 
 
 def test_alpha_beta_of_zero(F5):
     lam = LambdaParam.zero(symmetric_group(3), F5)
-    ab = extract_alpha_beta(lam)
-    assert all(not ab.alpha_at(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j)
-    assert all(not b for b in ab.beta)
+    mu = extract_mu(lam, KappaParam(F5, 3))
+    assert all(not mu.a_at(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j)
+    assert all(not b for b in _read_betas(lam))
 
 
 def test_alpha_beta_of_two_scalar_pair(F7, two_scalar_n4):
-    lam, _ = two_scalar_n4
-    ab = extract_alpha_beta(lam)
-    assert ab.alpha_at(1, 2) == F7(1)
-    assert ab.alpha_at(1, 3) == F7(1)
-    assert ab.alpha_at(2, 3) == F7(2)
+    lam, kap = two_scalar_n4
+    mu = extract_mu(lam, kap)
+    assert mu.a_at(1, 2) == F7(1)
+    assert mu.a_at(1, 3) == F7(1)
+    assert mu.a_at(2, 3) == F7(2)
     for (i, j) in [(1, 4), (2, 4), (3, 4)]:
-        assert not ab.alpha_at(i, j)
-    assert all(not b for b in ab.beta)
+        assert not mu.a_at(i, j)
+    assert all(not b for b in _read_betas(lam))
 
 
 def test_alpha_beta_gates():
     with pytest.raises(CharTwoUnsupported):
-        lam, _ = build_char2_matrix_pair()
-        extract_alpha_beta(lam)
+        lam, kap = build_char2_matrix_pair()
+        extract_mu(lam, kap)
     F5 = FieldSpec(5)
     with pytest.raises(ValueError):
-        extract_alpha_beta(LambdaParam.zero(symmetric_group(2), F5))
+        extract_mu(LambdaParam.zero(symmetric_group(2), F5), KappaParam(F5, 2))
 
 
 def test_beta_sum_zero_on_pbw_samples(F5):
+    """beta_n as read off lambda, not as MuParams derives it, cancels the others."""
     for seed in range(6):
         lam, kap = random_params(3, F5, seed=seed, profile="mu-family")
-        ab = extract_alpha_beta(lam)
-        total = F5.zero
-        for b in ab.beta:
-            total = total + b
-        assert not total
+        assert not sum(_read_betas(lam), F5.zero)
 
 
 def test_alpha_re_expansion_reproduces_lambda(F5):
-    """The alpha/beta scalars rebuild the full lambda table exactly."""
+    """The extracted a- and b-scalars rebuild the full lambda table exactly."""
     for seed in (3, 11):
         lam, kap = random_params(4, F5, seed=seed, profile="mu-family")
-        ab = extract_alpha_beta(lam)
+        mu = extract_mu(lam, kap)
         n = 4
         for g in lam.group:
             for i in range(1, n + 1):
                 coeffs = {}
                 total = F5.zero
                 for k in range(0, g(i) - i + n):
-                    total = total + ab.beta_at(i + k)
+                    total = total + mu.b_at(i + k)
                 if total:
                     coeffs[g] = total
                 for j in range(1, n + 1):
                     if j == i:
                         continue
-                    c = ab.alpha_at(i, j) - ab.alpha_under(g, i, j)
+                    c = mu.a_at(i, j) - mu.a_at(g(i), g(j))
                     if c:
                         t = g * Perm.transposition(n, i, j)
                         coeffs[t] = coeffs.get(t, F5.zero) + c
@@ -242,6 +242,13 @@ def test_json_round_trip_keeps_matrix_generators():
     """A loaded matrix group is written back with its generators, not all of G."""
     data = load_fixture("example_4_3.json")
     assert params_to_json(*params_from_json(data))["group"] == data["group"]
+
+
+def test_params_to_json_refuses_permutation_subgroup(F5):
+    """The file format has no type for a proper permutation subgroup, so none is written."""
+    group = enumerate_group([Perm.from_cycles(3, (1, 2, 3))])
+    with pytest.raises(ValueError, match=r"g\[2,3,1\]"):
+        params_to_json(LambdaParam.zero(group, F5), KappaParam(F5, 3))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_PAYLOADS))

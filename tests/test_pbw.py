@@ -7,12 +7,14 @@ from dhecke import (
     FieldSpec,
     KappaParam,
     LambdaParam,
+    MatrixElement,
     Perm,
     RewriteSystem,
     check_condition,
     check_pbw,
     diagnose_kappa_support,
     diagnose_lambda,
+    enumerate_group,
     golden_rule,
     lemma_suite,
     random_params,
@@ -255,3 +257,41 @@ def test_generator_sweep_needs_every_generator(F5, S3):
     ok, wit = rs.check_confluence()
     assert not ok and wit.family == "group-group-var"
     assert (ok, wit) == rs.check_confluence(exhaustive=True)
+
+
+def _on_matrices(lam, kappa, table):
+    """The same pair with every permutation replaced by its matrix in `table`."""
+    fs = lam.field
+    mat = {g: MatrixElement(fs, g.matrix(fs)) for g in lam.group}
+
+    def move(x):
+        return AlgebraElement(fs, {mat[g]: c for g, c in x.terms.items()})
+
+    return (
+        LambdaParam(table, fs, {(mat[g], i): move(v) for (g, i), v in lam.table.items()}),
+        KappaParam(fs, kappa.n, {k: move(v) for k, v in kappa.table.items()}),
+    )
+
+
+def test_matrix_branches_match_permutation_verdicts(F5):
+    """S_3 as permutation matrices over F_5 gets the verdicts of S_3 itself.
+
+    Every condition and the confluence oracle take their matrix branches on
+    this table.  The two tables sort their elements differently, so the
+    verdicts are compared, not the witnesses.
+    """
+    gens = (Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 2, 3)))
+    table = enumerate_group([MatrixElement(F5, g.matrix(F5)) for g in gens])
+    assert len(table) == 6 and not table.is_permutation_group
+    seen = set()
+    for profile in ("general", "mu-family", "perturbed-mu"):
+        for seed in range(6):
+            lam, kap = random_params(3, F5, seed=seed, profile=profile)
+            m_lam, m_kap = _on_matrices(lam, kap, table)
+            verdicts = check_pbw(lam, kap).verdicts
+            assert check_pbw(m_lam, m_kap).verdicts == verdicts, (profile, seed)
+            confluent = RewriteSystem(lam, kap).check_confluence()[0]
+            assert RewriteSystem(m_lam, m_kap).check_confluence()[0] == confluent, (profile, seed)
+            seen.update(verdicts.items())
+    # Each condition both passes and fails somewhere on the grid.
+    assert seen == {(k, ok) for k in range(1, 6) for ok in (True, False)}
