@@ -39,7 +39,11 @@ from .scalars import CharTwoUnsupported, FieldSpec, ModularObstruction
 
 def _step_budget() -> int:
     raw = os.environ.get("DHA_STEP_BUDGET")
-    return int(raw) if raw else DEFAULT_STEP_BUDGET
+    if not raw:
+        return DEFAULT_STEP_BUDGET
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"DHA_STEP_BUDGET must be an integer of at least 1, got {raw!r}")
+    return int(raw)
 
 
 def _write_json(path: str | None, payload) -> None:
@@ -128,6 +132,8 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    if args.degree < 0:
+        raise ValueError(f"--degree must be at least 0, got {args.degree}")
     lam, kappa = _load_params(args.input)
     result = convert(lam, kappa)
     ok = verify_isomorphism(lam, kappa, result, m=args.degree)
@@ -157,6 +163,8 @@ def cmd_crossval(args) -> int:
         raise CharTwoUnsupported(
             "cross-validation needs the five-condition test, which is not available in characteristic 2"
         )
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     fs = FieldSpec(args.char)
     profiles = ("general", "mu-family", "perturbed-mu")
     matrix = {"true/true": 0, "false/false": 0, "true/false": 0, "false/true": 0}

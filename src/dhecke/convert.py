@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .group_algebra import AlgebraElement
-from .linalg import basis_vector
 from .parameters import KappaParam, LambdaParam
 from .pbw import check_pbw
 from .rewrite import NCSum, RewriteSystem, from_algebra_element, nc_mul, nc_sub
@@ -49,8 +48,7 @@ def gamma(lam: LambdaParam) -> dict[int, AlgebraElement]:
         acc = AlgebraElement.zero(fs)
         for b in lam.group:
             binv = lam.group.inverse(b)
-            w = binv.act_on_vector(basis_vector(fs, lam.n, i))
-            acc = acc + lam.eval_vector(b, w) * AlgebraElement.term(fs, binv)
+            acc = acc + lam.eval_vector(b, binv.column(i, fs)) * AlgebraElement.term(fs, binv)
         out[i] = acc.scale(inv_order)
     return out
 
@@ -76,8 +74,8 @@ def convert(lam: LambdaParam, kappa_prime: KappaParam) -> ConversionResult:
             table[(i, j)] = (
                 g[i] * g[j]
                 - g[j] * g[i]
-                + lam.eval(g[i], basis_vector(fs, n, j))
-                - lam.eval(g[j], basis_vector(fs, n, i))
+                + lam.eval(g[i], ((j, fs.one),))
+                - lam.eval(g[j], ((i, fs.one),))
                 + kappa_prime.at(i, j)
             )
     return ConversionResult(gamma=g, kappa_converted=KappaParam(fs, n, table))
@@ -99,12 +97,9 @@ def verify_isomorphism(
     if not rs.is_confluent():
         raise NotPBWInput("the source pair does not define a confluent system")
 
-    f_images: dict[int, NCSum] = {}
-    for i in range(1, n + 1):
-        s: NCSum = {(i,): fs.one}
-        for h, c in result.gamma[i].terms.items():
-            s[(h,)] = s.get((h,), fs.zero) + c
-        f_images[i] = {w: c for w, c in s.items() if c}
+    f_images: dict[int, NCSum] = {
+        i: {(i,): fs.one, **from_algebra_element(result.gamma[i])} for i in range(1, n + 1)
+    }
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -119,12 +114,10 @@ def verify_isomorphism(
         g_sum: NCSum = {(g_elt,): fs.one}
         for i in range(1, n + 1):
             lhs = nc_mul(fs, g_sum, f_images[i])
-            gv = g_elt.act_on_vector(basis_vector(fs, n, i))
             f_gv: NCSum = {}
-            for k in range(1, n + 1):
-                if gv[k - 1]:
-                    for w, c in f_images[k].items():
-                        f_gv[w] = f_gv.get(w, fs.zero) + gv[k - 1] * c
+            for k, a in g_elt.column(i, fs):
+                for w, c in f_images[k].items():
+                    f_gv[w] = f_gv.get(w, fs.zero) + a * c
             f_gv = {w: c for w, c in f_gv.items() if c}
             rel = nc_sub(lhs, nc_mul(fs, f_gv, g_sum))
             if rs.normal_form(rel):

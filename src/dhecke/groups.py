@@ -5,6 +5,12 @@ specialization, 1-indexed one-line images) and invertible n x n matrices
 over a FieldSpec.  Composition is fixed globally as (gh)(i) = g(h(i)),
 i.e. "apply h, then g" -- a left action, the only convention consistent
 with the cocycle identity checked by the PBW machinery.
+
+Both kinds describe their action the same way: `g.column(i, fs)` is the
+image ^g v_i as its nonzero (index, coefficient) pairs.  The parameter
+evaluators, PBW conditions (1) and (2), the rewrite rules and the
+conversion read the action through it, so none of them branches on the
+element kind.  `act_on_vector` is the dense form of the same action.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from . import linalg
-from .linalg import Vector
+from .linalg import Column, Vector
 from .scalars import FieldSpec, Scalar
 
 
@@ -91,6 +97,10 @@ class Perm:
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
 
+    def column(self, i: int, fs: FieldSpec) -> Column:
+        """^g v_i = v_{g(i)}, as its one (index, coefficient) pair."""
+        return ((self.images[i - 1], fs.one),)
+
     def act_on_vector(self, v: Sequence[Scalar]) -> Vector:
         """Coefficients of ^g v in the fixed basis: v_i maps to v_{g(i)}."""
         if len(v) != self.n:
@@ -155,7 +165,7 @@ class Perm:
 class MatrixElement:
     """An invertible n x n matrix over a FieldSpec, acting on column coordinates."""
 
-    __slots__ = ("rows", "field", "_hash")
+    __slots__ = ("rows", "field", "_hash", "_columns")
 
     def __init__(self, field_spec: FieldSpec, rows: Sequence[Sequence[Scalar]]) -> None:
         rs = tuple(tuple(field_spec(x) for x in row) for row in rows)
@@ -167,6 +177,8 @@ class MatrixElement:
         object.__setattr__(self, "_hash", hash(tuple(s.value for row in rs for s in row)))
         if linalg.rank(rs) != n:
             raise ValueError("matrix is singular")
+        # Built on the first column() call: products make many matrices whose action is never read.
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, *_):
         raise AttributeError("MatrixElement is immutable")
@@ -174,12 +186,6 @@ class MatrixElement:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @staticmethod
-    def identity(fs: FieldSpec, n: int) -> "MatrixElement":
-        return MatrixElement(
-            fs, [[fs.one if i == j else fs.zero for j in range(n)] for i in range(n)]
-        )
 
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         if not isinstance(other, MatrixElement):
@@ -212,6 +218,12 @@ class MatrixElement:
             for i in range(self.n)
             for j in range(self.n)
         )
+
+    def column(self, i: int, fs: FieldSpec) -> Column:
+        """^g v_i, the nonzero entries of column i; the matrix's own field is used."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", tuple(linalg.column(col) for col in zip(*self.rows)))
+        return self._columns[i - 1]
 
     def act_on_vector(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.n:
@@ -359,10 +371,7 @@ def enumerate_group(generators: Sequence[GroupElement], cap: int = CLOSURE_CAP) 
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise ValueError("mismatched dimensions among generators")
-    if isinstance(generators[0], MatrixElement):
-        ident: GroupElement = MatrixElement.identity(generators[0].field, n)
-    else:
-        ident = Perm.identity(n)
+    ident = generators[0] * generators[0].inverse()
     seen = {ident}
     frontier = [ident]
     while frontier:

@@ -1,6 +1,8 @@
 """Tiny exact linear algebra over a FieldSpec: rank, RREF, null spaces.
 
 Matrices are tuples of row tuples of Scalars; vectors are tuples of Scalars.
+A column is the sparse form of a vector: its nonzero (1-based index,
+coefficient) pairs in ascending index order.
 Everything here is desk-scale (n <= a few dozen), so plain Gaussian
 elimination is plenty.
 """
@@ -13,6 +15,7 @@ from .scalars import FieldSpec, Scalar
 
 Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
+Column = tuple[tuple[int, Scalar], ...]
 
 
 def basis_vector(fs: FieldSpec, n: int, i: int) -> Vector:
@@ -20,6 +23,11 @@ def basis_vector(fs: FieldSpec, n: int, i: int) -> Vector:
     if not 1 <= i <= n:
         raise ValueError(f"basis index {i} out of range 1..{n}")
     return tuple(fs.one if k == i - 1 else fs.zero for k in range(n))
+
+
+def column(v: Sequence[Scalar]) -> Column:
+    """The nonzero entries of a dense vector as (index, coefficient) pairs."""
+    return tuple((i, c) for i, c in enumerate(v, start=1) if c)
 
 
 def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:

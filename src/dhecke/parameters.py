@@ -12,11 +12,10 @@ the CLI and the fixture corpus.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .groups import GroupElement, GroupTable, MatrixElement, Perm, enumerate_group, symmetric_group
 from .group_algebra import AlgebraElement
-from .linalg import basis_vector
+from .linalg import Column
 from .scalars import FieldSpec, ModularObstruction, Scalar
 
 
@@ -46,14 +45,14 @@ class KappaParam:
     def coefficient(self, g: GroupElement, i: int, j: int) -> Scalar:
         return self.at(i, j).coefficient(g)
 
-    def eval(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> AlgebraElement:
-        """Bilinear alternating extension to arbitrary coefficient vectors."""
-        out = AlgebraElement.zero(self.field)
-        for (i, j), val in self.table.items():
-            c = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-            if c:
-                out = out + val.scale(c)
-        return out
+    def eval(self, u: Column, v: Column) -> AlgebraElement:
+        """Bilinear alternating extension to vectors given as columns."""
+        pairs = []
+        for i, a in u:
+            for j, b in v:
+                ab = a * b
+                pairs.extend((g, ab * x) for g, x in self.at(i, j).terms.items())
+        return AlgebraElement.from_pairs(self.field, pairs)
 
     def support(self) -> list[GroupElement]:
         seen: set[GroupElement] = set()
@@ -106,20 +105,20 @@ class LambdaParam:
         """The scalar lambda_h(g, v_i)."""
         return self.at(g, i).coefficient(h)
 
-    def eval_vector(self, g: GroupElement, v: Sequence[Scalar]) -> AlgebraElement:
-        out = AlgebraElement.zero(self.field)
-        for i in range(1, self.n + 1):
-            c = v[i - 1]
-            if c:
-                out = out + self.at(g, i).scale(c)
-        return out
+    def eval_vector(self, g: GroupElement, v: Column) -> AlgebraElement:
+        """lambda(g, v) for v given as a column."""
+        return AlgebraElement.from_pairs(
+            self.field, ((h, c * x) for i, c in v for h, x in self.at(g, i).terms.items())
+        )
 
-    def eval(self, x: AlgebraElement, v: Sequence[Scalar]) -> AlgebraElement:
+    def eval(self, x: AlgebraElement, v: Column) -> AlgebraElement:
         """Bilinear extension with an FG-valued first slot."""
-        out = AlgebraElement.zero(self.field)
+        pairs = []
         for g, c in x.terms.items():
-            out = out + self.eval_vector(g, v).scale(c)
-        return out
+            for i, a in v:
+                ca = c * a
+                pairs.extend((h, ca * y) for h, y in self.at(g, i).terms.items())
+        return AlgebraElement.from_pairs(self.field, pairs)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -151,9 +150,7 @@ def act_on_kappa(h: GroupElement, kappa: KappaParam) -> KappaParam:
     table: dict[tuple[int, int], AlgebraElement] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            u = hinv.act_on_vector(basis_vector(fs, n, i))
-            v = hinv.act_on_vector(basis_vector(fs, n, j))
-            table[(i, j)] = kappa.eval(u, v).conjugate_by(h)
+            table[(i, j)] = kappa.eval(hinv.column(i, fs), hinv.column(j, fs)).conjugate_by(h)
     return KappaParam(fs, n, table)
 
 
@@ -166,8 +163,7 @@ def act_on_lambda(h: GroupElement, lam: LambdaParam) -> LambdaParam:
     for g in lam.group:
         conj = hinv * g * h
         for i in range(1, n + 1):
-            v = hinv.act_on_vector(basis_vector(fs, n, i))
-            table[(g, i)] = lam.eval_vector(conj, v).conjugate_by(h)
+            table[(g, i)] = lam.eval_vector(conj, hinv.column(i, fs)).conjugate_by(h)
     return LambdaParam(lam.group, fs, table)
 
 
@@ -405,6 +401,8 @@ def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
     # the five-condition checker still refuses such inputs on its own.
     fs = FieldSpec(p, allow_char2=(p == 2))
     n = _int_field(data, "n", top)
+    if n < 1:
+        raise ValueError(f"{top} field 'n' must be at least 1, got {n}")
     group = group_from_json(_field(data, "group", top), fs, n)
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
     for k, entry in enumerate(_list_field(data, "lambda", top, optional=True)):

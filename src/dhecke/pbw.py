@@ -48,6 +48,7 @@ from .group_algebra import AlgebraElement
 from .linalg import (
     Vector,
     basis_vector,
+    column,
     is_zero_vector,
     nullspace,
     same_subspace,
@@ -128,16 +129,11 @@ def _cond1(
     """The cocycle identity at every (g, h, i) with g in gs (default: all of G)."""
     fs = lam.field
     n = lam.n
-    perm_case = lam.group.is_permutation_group
     for g in lam.group if gs is None else gs:
         for h in lam.group:
             gh = g * h
             for i in range(1, n + 1):
-                if perm_case:
-                    lg = lam.at(g, h(i))
-                else:
-                    lg = lam.eval_vector(g, h.act_on_vector(basis_vector(fs, n, i)))
-                rhs = lg.mul_right(h) + lam.at(h, i).mul_left(g)
+                rhs = lam.eval_vector(g, h.column(i, fs)).mul_right(h) + lam.at(h, i).mul_left(g)
                 lhs = lam.at(gh, i)
                 if lhs != rhs:
                     return Witness(1, g, h, (i,), lhs - rhs)
@@ -147,20 +143,12 @@ def _cond1(
 def _cond2(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
     fs = lam.field
     n = lam.n
-    perm_case = lam.group.is_permutation_group
     for g in lam.group:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                if perm_case:
-                    twisted = kappa.at(g(i), g(j))
-                else:
-                    gu = g.act_on_vector(basis_vector(fs, n, i))
-                    gv = g.act_on_vector(basis_vector(fs, n, j))
-                    twisted = kappa.eval(gu, gv)
+                twisted = kappa.eval(g.column(i, fs), g.column(j, fs))
                 lhs = twisted.mul_right(g) - kappa.at(i, j).mul_left(g)
-                rhs = lam.eval(lam.at(g, j), basis_vector(fs, n, i)) - lam.eval(
-                    lam.at(g, i), basis_vector(fs, n, j)
-                )
+                rhs = lam.eval(lam.at(g, j), ((i, fs.one),)) - lam.eval(lam.at(g, i), ((j, fs.one),))
                 diff = lhs - rhs
                 if not diff.is_zero():
                     return Witness(2, g, None, (i, j), diff)
@@ -225,9 +213,9 @@ def _cond5(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 total = (
-                    lam.eval(kappa.at(i, j), basis_vector(fs, n, k))
-                    + lam.eval(kappa.at(j, k), basis_vector(fs, n, i))
-                    + lam.eval(kappa.at(k, i), basis_vector(fs, n, j))
+                    lam.eval(kappa.at(i, j), ((k, fs.one),))
+                    + lam.eval(kappa.at(j, k), ((i, fs.one),))
+                    + lam.eval(kappa.at(k, i), ((j, fs.one),))
                 )
                 if not total.is_zero():
                     return Witness(5, None, None, (i, j, k), total)
@@ -286,7 +274,7 @@ def diagnose_kappa_support(lam: LambdaParam, kappa: KappaParam) -> tuple[bool, l
         if codim == 1:
             for a in range(len(fixed)):
                 for b in range(len(fixed)):
-                    if kappa.eval(fixed[a], fixed[b]).coefficient(g):
+                    if kappa.eval(column(fixed[a]), column(fixed[b])).coefficient(g):
                         problems.append(f"reflection {g!r} has nonzero kappa_g on its fixed space")
         elif codim == 2:
             rows = [
@@ -330,34 +318,23 @@ def diagnose_lambda(lam: LambdaParam) -> tuple[bool, list[str]]:
         ginv_elt = AlgebraElement.term(fs, ginv)
         for i in range(1, n + 1):
             lhs = g_elt * lam.at(ginv, i)
-            rhs = -(lam.eval_vector(g, ginv.act_on_vector(basis_vector(fs, n, i))) * ginv_elt)
+            rhs = -(lam.eval_vector(g, ginv.column(i, fs)) * ginv_elt)
             if lhs != rhs:
                 problems.append(f"inverse identity fails at ({g!r}, v_{i})")
 
     for g in group:
-        order = 1
-        p = g
-        while not p.is_identity():
-            p = p * g
-            order += 1
-        for j in range(1, order + 1):
-            gj = ident
-            for _ in range(j):
-                gj = gj * g
+        powers = [ident, g]  # g^0, g^1, ..., up to g^order = 1
+        while powers[-1] != ident:
+            powers.append(powers[-1] * g)
+        for j in range(1, len(powers)):
             for i in range(1, n + 1):
                 expected = AlgebraElement.zero(fs)
                 for m in range(j):
-                    pre = ident
-                    for _ in range(j - 1 - m):
-                        pre = pre * g
-                    post = ident
-                    for _ in range(m):
-                        post = post * g
-                    v = post.act_on_vector(basis_vector(fs, n, i))
-                    expected = expected + AlgebraElement.term(fs, pre) * lam.eval_vector(
-                        g, v
-                    ) * AlgebraElement.term(fs, post)
-                if lam.at(gj, i) != expected:
+                    post = powers[m]
+                    expected = expected + lam.eval_vector(g, post.column(i, fs)).mul_left(
+                        powers[j - 1 - m]
+                    ).mul_right(post)
+                if lam.at(powers[j], i) != expected:
                     problems.append(f"power recursion fails at ({g!r}^{j}, v_{i})")
 
     for g in group:
@@ -369,7 +346,7 @@ def diagnose_lambda(lam: LambdaParam) -> tuple[bool, list[str]]:
                     problems.append(f"lambda({g!r}, v_{i}) supported on {h!r} with h^-1 g not a reflection")
                 elif codim == 1:
                     for w in r.fixed_space_basis(fs):
-                        if lam.eval_vector(g, w).coefficient(h):
+                        if lam.eval_vector(g, column(w)).coefficient(h):
                             problems.append(
                                 f"lambda({g!r}, *) nonzero at {h!r} on the hyperplane of h^-1 g"
                             )
@@ -381,7 +358,7 @@ def diagnose_lambda(lam: LambdaParam) -> tuple[bool, list[str]]:
         codim = g.fixed_space_codim()
         if codim == 1:
             for w in g.fixed_space_basis(fs):
-                if lam.eval_vector(g, w).coefficient(ident):
+                if lam.eval_vector(g, column(w)).coefficient(ident):
                     problems.append(f"lambda_1({g!r}, .) nonzero on the fixed space")
                     break
         else:
@@ -409,7 +386,7 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
     ok = True
     for c in group:
         for w in c.fixed_space_basis(fs):
-            if lam.eval_vector(c, w).coefficient(c):
+            if lam.eval_vector(c, column(w)).coefficient(c):
                 ok = False
     results["fixed_vector_vanishing"] = ok
 
@@ -425,7 +402,7 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
     results["transposition_antisymmetry"] = ok
 
     # lambda(g, v_1 + ... + v_n) = 0
-    allv = tuple(fs.one for _ in range(n))
+    allv = column([fs.one] * n)
     results["row_sum_zero"] = all(lam.eval_vector(g, allv).is_zero() for g in group)
 
     # beta_1 + ... + beta_n = 0

@@ -136,6 +136,9 @@ class RewriteSystem:
         self.n = lam.n
         self.step_budget = step_budget
         self._confluent: Optional[bool] = None
+        # R2's right-hand side per (g, i) as (middle of the word, coefficient) pairs, built on
+        # first use: a reduction applies R2 to the same few pairs over and over.
+        self._r2: dict[tuple[GroupElement, int], list[tuple[Word, Scalar]]] = {}
 
     # -- rules ---------------------------------------------------------------
 
@@ -158,18 +161,13 @@ class RewriteSystem:
         if not _is_var(a) and not _is_var(b):
             return [(pre + (a * b,) + post, one)]
         if not _is_var(a):
-            g, i = a, b
-            out: list[tuple[Word, Scalar]] = []
-            if isinstance(g, Perm):
-                out.append((pre + (g(i), g) + post, one))
-            else:
-                for r in range(1, self.n + 1):
-                    c = g.rows[r - 1][i - 1]
-                    if c:
-                        out.append((pre + (r, g) + post, c))
-            for h, c in self.lam.at(g, i).terms.items():
-                out.append((pre + (h,) + post, c))
-            return out
+            rhs = self._r2.get((a, b))
+            if rhs is None:
+                g, i = a, b
+                rhs = self._r2[(g, i)] = [((r, g), c) for r, c in g.column(i, self.field)] + [
+                    ((h,), c) for h, c in self.lam.at(g, i).terms.items()
+                ]
+            return [(pre + mid + post, c) for mid, c in rhs]
         j, i = a, b
         out = [(pre + (i, j) + post, one)]
         for h, c in self.kappa.at(i, j).terms.items():
@@ -386,17 +384,9 @@ def parse_word_sum(
                     raise ValueError(f"token {tok} makes its word longer than {MAX_WORD_TOKENS} tokens")
                 word.extend([i] * k)
                 continue
-            m = _PERM_RE.match(tok)
-            if m:
-                word.append(_group_token(tok, Perm([int(x) for x in m.group(1).split(",")]), n, group))
-                continue
-            m = _MAT_RE.match(tok)
-            if m:
-                rows = [
-                    [field_spec.parse(entry) for entry in row.split(",")]
-                    for row in m.group(1).split("],[")
-                ]
-                word.append(_group_token(tok, MatrixElement(field_spec, rows), n, group))
+            g = _group_token(tok, field_spec, n, group)
+            if g is not None:
+                word.append(g)
                 continue
             if _SCALAR_RE.match(tok):
                 if word:
@@ -414,7 +404,19 @@ def parse_word_sum(
     return out
 
 
-def _group_token(tok: str, g: GroupElement, n: int, group: Optional[GroupTable]) -> GroupElement:
+def _group_token(tok: str, field_spec: FieldSpec, n: int, group: Optional[GroupTable]) -> Optional[GroupElement]:
+    """The element a "g[...]" or "M[[...]]" token names, or None; every refusal names the token."""
+    perm, mat = _PERM_RE.match(tok), _MAT_RE.match(tok)
+    try:
+        if perm:
+            g: GroupElement = Perm([int(x) for x in perm.group(1).split(",")])
+        elif mat:
+            rows = [[field_spec.parse(x) for x in r.split(",")] for r in mat.group(1).split("],[")]
+            g = MatrixElement(field_spec, rows)
+        else:
+            return None
+    except ValueError as exc:
+        raise ValueError(f"cannot parse group token {tok}: {exc}") from None
     if g.n != n:
         raise ValueError(f"group token {tok} does not act on F^{n}")
     if group is not None and g not in group:

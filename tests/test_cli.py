@@ -169,10 +169,13 @@ def test_normal_form_output(capsys):
 
 
 def test_normal_form_bad_word_exit2(capsys):
-    code, _ = run(
-        capsys, "normal-form", "--input", str(FIXTURES / "golden_rule.json"), "--word", "xyz"
-    )
-    assert code == 2
+    for fixture, word in (
+        ("golden_rule.json", "xyz"),
+        ("example_4_3.json", "M[[1,x],[0,1]] v1"),  # an entry that is not a scalar
+    ):
+        code = main(["normal-form", "--input", str(FIXTURES / fixture), "--word", word])
+        err = assert_one_line_error(capsys, code)
+        assert word.split()[0] in err
 
 
 def test_normal_form_huge_power_exit2(capsys):
@@ -271,6 +274,11 @@ def test_step_budget_env(capsys, monkeypatch):
         "--word", "v3 v2 v1",
     )
     assert code == 2
+    for raw in ("abc", "-3", "0"):
+        monkeypatch.setenv("DHA_STEP_BUDGET", raw)
+        code = main(["normal-form", "--input", str(FIXTURES / "example_1_1_n3.json"), "--word", "v3 v2 v1"])
+        err = assert_one_line_error(capsys, code)
+        assert "DHA_STEP_BUDGET" in err and repr(raw) in err
 
 
 def assert_one_line_error(capsys, code: int) -> str:
@@ -337,6 +345,12 @@ def test_normal_form_group_token_outside_group_exit2(capsys, fixture, word):
             "kappa entry 0",
         ),
         ({"characteristic": "+-5", "n": 3}, "'characteristic'"),
+        (  # no dimension below 1, not even with a 0 x 0 matrix group
+            {"characteristic": 5, "n": 0, "group": {"type": "matrix", "generators": [[]]}},
+            "parameter file field 'n'",
+        ),
+        ({"characteristic": 5, "n": -1, "group": {"type": "symmetric_permutation", "n": -1}},
+         "parameter file field 'n'"),
     ],
 )
 def test_check_malformed_params_exit2(capsys, tmp_path, payload, named):
@@ -387,6 +401,19 @@ def test_check_directory_path_exit2(capsys, tmp_path, flag):
     code = main(["check", "--input", paths["--input"], "--method", "conditions", "--out", paths["--out"]])
     err = assert_one_line_error(capsys, code)
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["convert", "--input", str(FIXTURES / "golden_rule.json"), "--degree", "-1"], "--degree"),
+        (["crossval", "--n", "3", "--char", "5", "--samples", "0"], "--samples"),
+        (["crossval", "--n", "3", "--char", "5", "--samples", "-2"], "--samples"),
+    ],
+)
+def test_out_of_range_flag_exit2(capsys, argv, flag):
+    err = assert_one_line_error(capsys, main(argv))
+    assert flag in err
 
 
 def test_crossval_char2_exit2(capsys):

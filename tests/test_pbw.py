@@ -8,6 +8,7 @@ from dhecke import (
     KappaParam,
     LambdaParam,
     MatrixElement,
+    NormalMonomial,
     Perm,
     RewriteSystem,
     check_condition,
@@ -15,12 +16,13 @@ from dhecke import (
     diagnose_kappa_support,
     diagnose_lambda,
     enumerate_group,
+    gamma,
     golden_rule,
     lemma_suite,
     random_params,
     scale_params,
 )
-from dhecke.linalg import basis_vector, vec_scale, vec_sub
+from dhecke.linalg import basis_vector, column, vec_scale, vec_sub
 from dhecke.scalars import CharTwoUnsupported
 
 from conftest import build_char2_matrix_pair, sweep_grid
@@ -111,11 +113,12 @@ def test_condition_quantification_is_multilinear(two_scalar_n4, F7):
     lam, kap = two_scalar_n4
     u = (F7(2), F7(3), F7(0), F7(1))
     v = (F7(1), F7(4), F7(2), F7(0))
+    cu, cv = column(u), column(v)
     for g in list(lam.group)[:8]:
-        gu = g.act_on_vector(u)
-        gv = g.act_on_vector(v)
-        lhs = kap.eval(gu, gv).mul_right(g) - kap.eval(u, v).mul_left(g)
-        rhs = lam.eval(lam.eval_vector(g, v), u) - lam.eval(lam.eval_vector(g, u), v)
+        gu = column(g.act_on_vector(u))
+        gv = column(g.act_on_vector(v))
+        lhs = kap.eval(gu, gv).mul_right(g) - kap.eval(cu, cv).mul_left(g)
+        rhs = lam.eval(lam.eval_vector(g, cv), cu) - lam.eval(lam.eval_vector(g, cu), cv)
         assert lhs == rhs
 
 
@@ -260,7 +263,10 @@ def test_generator_sweep_needs_every_generator(F5, S3):
 
 
 def _on_matrices(lam, kappa, table):
-    """The same pair with every permutation replaced by its matrix in `table`."""
+    """The same pair with every permutation replaced by its matrix in `table`.
+
+    Also returns the element map and its extension to FG.
+    """
     fs = lam.field
     mat = {g: MatrixElement(fs, g.matrix(fs)) for g in lam.group}
 
@@ -270,28 +276,40 @@ def _on_matrices(lam, kappa, table):
     return (
         LambdaParam(table, fs, {(mat[g], i): move(v) for (g, i), v in lam.table.items()}),
         KappaParam(fs, kappa.n, {k: move(v) for k, v in kappa.table.items()}),
+        mat,
+        move,
     )
 
 
 def test_matrix_branches_match_permutation_verdicts(F5):
-    """S_3 as permutation matrices over F_5 gets the verdicts of S_3 itself.
+    """S_3 as permutation matrices over F_5 behaves as S_3 itself.
 
-    Every condition and the confluence oracle take their matrix branches on
-    this table.  The two tables sort their elements differently, so the
-    verdicts are compared, not the witnesses.
+    Every condition, the confluence oracle, the R2 rewrite rule and the
+    averaging map run on the matrices' columns here.  The two tables sort
+    their elements differently, so verdicts are compared as they are, and
+    normal forms and gamma through the element map; witnesses are not.
     """
     gens = (Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 2, 3)))
     table = enumerate_group([MatrixElement(F5, g.matrix(F5)) for g in gens])
     assert len(table) == 6 and not table.is_permutation_group
+    s, c = gens
+    words = [(3, 2, 1), (c, 1), (s, 3, 2, 1), (2, c, s, 1, 1), (c, c, 3, 1, 2)]
     seen = set()
     for profile in ("general", "mu-family", "perturbed-mu"):
         for seed in range(6):
             lam, kap = random_params(3, F5, seed=seed, profile=profile)
-            m_lam, m_kap = _on_matrices(lam, kap, table)
+            m_lam, m_kap, mat, move = _on_matrices(lam, kap, table)
             verdicts = check_pbw(lam, kap).verdicts
             assert check_pbw(m_lam, m_kap).verdicts == verdicts, (profile, seed)
-            confluent = RewriteSystem(lam, kap).check_confluence()[0]
-            assert RewriteSystem(m_lam, m_kap).check_confluence()[0] == confluent, (profile, seed)
+            rs, m_rs = RewriteSystem(lam, kap), RewriteSystem(m_lam, m_kap)
+            confluent = rs.check_confluence()[0]
+            assert m_rs.check_confluence()[0] == confluent, (profile, seed)
+            for word in words:
+                nf = rs.normal_form({word: F5.one})
+                m_word = tuple(t if isinstance(t, int) else mat[t] for t in word)
+                expected = {NormalMonomial(m.exponents, mat[m.g]): x for m, x in nf.items()}
+                assert m_rs.normal_form({m_word: F5.one}) == expected, (profile, seed, word)
+            assert {i: move(x) for i, x in gamma(lam).items()} == gamma(m_lam), (profile, seed)
             seen.update(verdicts.items())
     # Each condition both passes and fails somewhere on the grid.
     assert seen == {(k, ok) for k in range(1, 6) for ok in (True, False)}
