@@ -5,9 +5,10 @@ Runs a grid of (n, characteristic) cells, each with a mix of the three
 random-parameter profiles, and reports the agreement matrix per cell.
 Any disagreement between the five-condition test and the confluence
 oracle is an engine bug, not a property of the inputs.  Each sample also
-reruns both engines with exhaustive=True, which sweeps condition (1) and
-the group-group-var overlaps over all of G rather than the generators;
-the default result (verdicts and witnesses) must equal it.
+reruns both engines with exhaustive=True, which sweeps conditions (1), (2)
+and (3) and the group-group-var and group-var-var overlaps over all of G
+rather than the generators; the default result (verdicts and witnesses)
+must equal it.
 
 Usage:
     python scripts/crossval_campaign.py [--samples 60] [--seed 0]

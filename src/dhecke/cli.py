@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -35,6 +36,11 @@ from .rewrite import (
     parse_word_sum,
 )
 from .scalars import CharTwoUnsupported, FieldSpec, ModularObstruction
+
+
+# The largest n crossval accepts, so that |S_n| = n! stays at most 5040:
+# every sample enumerates S_n, and one S_9 sample passes 6 GB.
+MAX_CROSSVAL_N = 7
 
 
 def _step_budget() -> int:
@@ -165,6 +171,11 @@ def cmd_crossval(args) -> int:
         )
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not 3 <= args.n <= MAX_CROSSVAL_N:
+        raise ValueError(
+            f"--n must be 3..{MAX_CROSSVAL_N} (the mu tuple needs n > 2, and n! may not pass "
+            f"{math.factorial(MAX_CROSSVAL_N)}), got {args.n}"
+        )
     fs = FieldSpec(args.char)
     profiles = ("general", "mu-family", "perturbed-mu")
     matrix = {"true/true": 0, "false/false": 0, "true/false": 0, "false/true": 0}

@@ -172,13 +172,23 @@ class MatrixElement:
         n = len(rs)
         if any(len(row) != n for row in rs):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "field", field_spec)
-        object.__setattr__(self, "_hash", hash(tuple(s.value for row in rs for s in row)))
         if linalg.rank(rs) != n:
             raise ValueError("matrix is singular")
+        self._set(field_spec, rs)
+
+    def _set(self, field_spec: FieldSpec, rows: tuple[Vector, ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "field", field_spec)
+        object.__setattr__(self, "_hash", hash(tuple(s.value for row in rows for s in row)))
         # Built on the first column() call: products make many matrices whose action is never read.
         object.__setattr__(self, "_columns", None)
+
+    @staticmethod
+    def _raw(field_spec: FieldSpec, rows: Sequence[Sequence[Scalar]]) -> "MatrixElement":
+        """Internal constructor for products and inverses of invertible matrices."""
+        out = MatrixElement.__new__(MatrixElement)
+        out._set(field_spec, tuple(tuple(row) for row in rows))
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("MatrixElement is immutable")
@@ -200,7 +210,7 @@ class MatrixElement:
             ]
             for i in range(n)
         ]
-        return MatrixElement(self.field, rows)
+        return MatrixElement._raw(self.field, rows)
 
     def inverse(self) -> "MatrixElement":
         n = self.n
@@ -209,7 +219,7 @@ class MatrixElement:
         red, pivots = linalg.rref(aug)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return MatrixElement(fs, [row[n:] for row in red])
+        return MatrixElement._raw(fs, [row[n:] for row in red])
 
     def is_identity(self) -> bool:
         fs = self.field

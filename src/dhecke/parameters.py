@@ -308,7 +308,10 @@ def _matrix_from_json(flat, fs: FieldSpec, n: int, where: str) -> MatrixElement:
     if not isinstance(flat, list) or len(flat) != n * n:
         raise ValueError(f"{where} must be a list of {n * n} matrix entries, got {flat!r}")
     entries = [_scalar_value(x, fs, f"{where} entry {k}") for k, x in enumerate(flat)]
-    return MatrixElement(fs, [entries[r * n : (r + 1) * n] for r in range(n)])
+    try:
+        return MatrixElement(fs, [entries[r * n : (r + 1) * n] for r in range(n)])
+    except ValueError as exc:  # a singular matrix
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def element_from_json(data, group: GroupTable, where: str = "group element") -> GroupElement:

@@ -27,12 +27,54 @@ and g' a positive word one letter shorter,
                      = lambda(s g', ^h v) h + g lambda(h, v)              (1) at (s, g'),
                                                                          vector ^h v
 
-where the last step uses linearity in v, so basis vectors suffice.  A
-failure found by the reduced sweep is re-found by the exhaustive sweep,
-whose first witness is the one reported, so witnesses do not depend on the
-mode.  `exhaustive=True` runs the full sweep; it is the oracle the tests
-and scripts/crossval_campaign.py compare against.  Condition (2) stays
-exhaustive: whether it is multiplicative in g once (1) holds is open.
+where the last step uses linearity in v, so basis vectors suffice.
+
+Conditions (3) and (2) reduce to S the same way once (1) holds on G.  Let
+A be T(V) # G modulo the relations g v = ^g v g + lambda(g, v).  Its only
+ambiguities are the words g h v, and they resolve exactly when (1) holds,
+so then the words in V followed by one group element are a basis of A and
+the V-degree of an element of A is well defined.  Put
+
+    r(u, v)    = v u - u v + kappa(u, v),
+    E(g; u, v) = g r(u, v) - r(^g u, ^g v) g          (in A),
+
+where r(v_i, v_j) = 0 for i < j is the defining relation
+v_j v_i = v_i v_j - kappa(v_i, v_j) of H.  Both are bilinear and
+alternating in (u, v).  Moving g to the right,
+
+    g v u = ^g v ^g u g + ^g v lambda(g, u) + sum_h lambda_h(g, v) (^h u h + lambda(h, u)),
+
+so E(g; v_i, v_j) has no degree-2 part, its degree-1 part is
+sum_h D3(g, h; i, j) h, and its degree-0 part is -D2(g; i, j), where D3
+and D2 are the discrepancies `_cond3` and `_cond2` compare with zero:
+
+    D3 = lambda_h(g, v_j) (^h v_i - ^g v_i) - lambda_h(g, v_i) (^h v_j - ^g v_j),
+    D2 = kappa(^g v_i, ^g v_j) g - g kappa(v_i, v_j)
+         - lambda(lambda(g, v_j), v_i) + lambda(lambda(g, v_i), v_j).
+
+So (3) at g says deg1 E(g; ., .) = 0 and (2) at g says deg0 E(g; ., .) = 0.
+Associativity of A gives the twisted-cocycle shape of (1),
+
+    E(gh; u, v) = g E(h; u, v) + E(g; ^h u, ^h v) h,
+
+and since g (w k) = ^g w (gk) + lambda(g, w) k for w in V and k in G,
+comparing degrees gives
+
+    deg1 E(gh; u, v) = g . deg1 E(h; u, v) + deg1 E(g; ^h u, ^h v) h,
+    deg0 E(gh; u, v) = lambda(g, deg1 E(h; u, v)) + g deg0 E(h; u, v)
+                       + deg0 E(g; ^h u, ^h v) h,
+
+with g . (w k) = ^g w (gk) and lambda(g, w k) = lambda(g, w) k.  Induct on
+the word length of g = s g' as for (1), using bilinearity to pass from basis
+pairs to ^{g'} u, ^{g'} v.  The first line shows that (3) on S gives (3) on
+G; with that, the second shows that (2) on S gives (2) on G.
+
+So by default (3) is swept over S when (1) holds, and (2) over S when (1)
+and (3) hold; otherwise they sweep all of G.  A failure found by a reduced
+sweep is re-found by the exhaustive sweep, whose first witness is the one
+reported, so witnesses do not depend on the mode.  `exhaustive=True` runs
+every full sweep; it is the oracle the tests and
+scripts/crossval_campaign.py compare against.
 """
 
 from __future__ import annotations
@@ -140,10 +182,13 @@ def _cond1(
     return None
 
 
-def _cond2(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
+def _cond2(
+    lam: LambdaParam, kappa: KappaParam, gs: Optional[Sequence[GroupElement]] = None
+) -> Optional[Witness]:
+    """kappa against lambda o lambda at every (g, i < j) with g in gs (default: all of G)."""
     fs = lam.field
     n = lam.n
-    for g in lam.group:
+    for g in lam.group if gs is None else gs:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 twisted = kappa.eval(g.column(i, fs), g.column(j, fs))
@@ -155,10 +200,13 @@ def _cond2(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
     return None
 
 
-def _cond3(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
+def _cond3(
+    lam: LambdaParam, kappa: KappaParam, gs: Optional[Sequence[GroupElement]] = None
+) -> Optional[Witness]:
+    """The degree-1 compatibility at every (g, h, i < j) with g in gs (default: all of G)."""
     fs = lam.field
     n = lam.n
-    for g in lam.group:
+    for g in lam.group if gs is None else gs:
         basis_g = [g.act_on_vector(basis_vector(fs, n, i)) for i in range(1, n + 1)]
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -223,18 +271,39 @@ def _cond5(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
 
 
 _CONDITIONS = {1: _cond1, 2: _cond2, 3: _cond3, 4: _cond4, 5: _cond5}
+# The conditions that may be swept over the generators, each with the
+# conditions that must hold on all of G first (see the module docstring).
+_PREREQUISITES = {1: (), 3: (1,), 2: (1, 3)}
 
 
 def check_condition(
-    k: int, lam: LambdaParam, kappa: KappaParam, *, exhaustive: bool = False
+    k: int,
+    lam: LambdaParam,
+    kappa: KappaParam,
+    *,
+    exhaustive: bool = False,
+    known: Optional[dict[int, bool]] = None,
 ) -> tuple[bool, Optional[Witness]]:
-    """Condition k with its first witness; (1) sweeps generators unless exhaustive."""
+    """Condition k with its first witness.
+
+    Unless exhaustive, (1), (3) and (2) sweep the generators once their
+    prerequisites hold.  `known` holds verdicts already decided on all of G,
+    as `check_pbw` has them; a prerequisite missing from it is checked on
+    the generators.
+    """
     if k not in _CONDITIONS:
         raise ValueError(f"condition number must be 1..5, got {k}")
     _refuse_char2(lam)
-    if k == 1 and not exhaustive and _cond1(lam, kappa, lam.group.generators) is None:
-        return True, None
-    w = _CONDITIONS[k](lam, kappa)
+    sweep = _CONDITIONS[k]
+    if not exhaustive and k in _PREREQUISITES:
+        gens = lam.group.generators
+        known = known or {}
+        if all(
+            known[p] if p in known else _CONDITIONS[p](lam, kappa, gens) is None
+            for p in _PREREQUISITES[k]
+        ) and sweep(lam, kappa, gens) is None:
+            return True, None
+    w = sweep(lam, kappa)
     return w is None, w
 
 
@@ -243,8 +312,9 @@ def check_pbw(lam: LambdaParam, kappa: KappaParam, *, exhaustive: bool = False) 
     _refuse_char2(lam)
     t0 = time.perf_counter()
     report = ConditionReport()
-    for k in range(1, 6):
-        ok, w = check_condition(k, lam, kappa, exhaustive=exhaustive)
+    # (3) before (2): the generator sweep of (2) needs the verdicts of (1) and (3).
+    for k in (1, 3, 2, 4, 5):
+        ok, w = check_condition(k, lam, kappa, exhaustive=exhaustive, known=report.verdicts)
         report.verdicts[k] = ok
         if w is not None:
             report.witnesses[k] = w

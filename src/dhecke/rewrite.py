@@ -31,11 +31,59 @@ The two one-step reductions of (g, h, v_i) are
 so they differ by exactly the cocycle discrepancy of PBW condition (1) at
 (g, h, i): a degree-0 element that does not involve kappa.  The overlap
 resolves for every g once it resolves for g in S, by the word-length
-induction in the `dhecke.pbw` docstring.  So by default `overlap_words`
-lists |S|.|G|.n group-group-var words instead of |G|^2.n, and when one of
-them fails, `check_confluence` rescans that family exhaustively in order,
-so the reported witness is the one the full sweep finds first.  The other
-two families are always swept in full; `exhaustive=True` sweeps all three.
+induction in the `dhecke.pbw` docstring.
+
+The group-var-var overlaps (g, v_j, v_i) need only g in S too, once every
+group-group-var overlap resolves (that family is swept first).  The
+argument below uses the rewrite rules alone, not the five conditions, so
+the oracle stays independent of them.
+
+- Let A be the free algebra on the tokens modulo R1 and R2, and pi the
+  R1/R2 normal form.  The ambiguities of R1 and R2 alone are g h k
+  (resolved by associativity) and the group-group-var words, whose
+  reductions never put two variables side by side, so R3 plays no part
+  in them.  R1 and R2 terminate, being part of the system above, so once
+  those overlaps resolve, the diamond lemma makes pi a well-defined
+  linear map on A, and the words in the v_i followed by one group token
+  are a basis of A.  pi keeps the v-degree or lowers it (R2's main term
+  keeps it, its lambda term lowers it).
+- On a word with at most two variables and a group token, the leftmost
+  strategy applies R3 only once no group token stands left of either
+  variable, since such a token starts an earlier redex.  The kappa terms
+  it then makes are pure group words, which R1 alone finishes.  So there
+  the full normal form N is sigma(pi(.)), where sigma sorts each word
+  x y h (x, y in V) with at most one R3 step.  Sorting x y h and y x h
+  differs by exactly kappa(x, y) h, so with r(x, y) = y x - x y + kappa(x, y),
+  the relation R3 imposes for x = v_i, y = v_j, i < j,
+
+      sigma(pi(r(x, y) h)) = 0    for all x, y in V and h in G.
+
+- For u = v_i, v = v_j with i < j, the two one-step reductions of
+  (g, v_j, v_i) are left = ^g v g u + lambda(g, v) u (R2) and
+  right = g u v - g kappa(u, v) (R3).  Now left = g v u in A, so
+  left - right = g r(u, v) in A.  Put E(g; u, v) = g r(u, v) - r(^g u, ^g v) g.
+  Under pi both g r(u, v) and r(^g u, ^g v) g have the degree-2 part
+  ^g v ^g u g - ^g u ^g v g, so pi(E) has degree at most 1, where sigma is
+  the identity.  Hence
+
+      N(left) - N(right) = sigma(pi(E(g; u, v))) + sigma(pi(r(^g u, ^g v) g))
+                         = pi(E(g; u, v)),
+
+  and the overlap at g resolves exactly when E(g; v_i, v_j) = 0 in A.
+- E is bilinear and alternating in (u, v), since r is.  With gh = g h in A
+  (R1) and ^g ^h u = ^{gh} u,
+
+      E(gh; u, v) = g E(h; u, v) + E(g; ^h u, ^h v) h     in A.
+
+  If E(s; ., .) = 0 for s in S on basis pairs, it is 0 on all pairs.  The
+  word-length induction of `dhecke.pbw` (g = s g', positive words in S)
+  then gives E(g; ., .) = 0 for every g.
+
+So by default `overlap_words` lists the group-group-var and group-var-var
+words for g in S only: |S|.|G|.n + |S|.C(n,2) + C(n,3) overlaps instead of
+|G|^2.n + |G|.C(n,2) + C(n,3).  When one of them fails, `check_confluence`
+rescans its family over all of G in order, so the reported witness is the
+one the full sweep finds first.  `exhaustive=True` sweeps all of G.
 """
 
 from __future__ import annotations
@@ -219,28 +267,24 @@ class RewriteSystem:
 
     # -- confluence --------------------------------------------------------------
 
-    def _group_group_var(self, firsts: Iterable[GroupElement]) -> list[tuple[str, Word]]:
-        return [
-            ("group-group-var", (g, h, i))
-            for g in firsts
-            for h in self.group
-            for i in range(1, self.n + 1)
-        ]
+    def _family(self, family: str, firsts: Iterable[GroupElement]) -> list[tuple[str, Word]]:
+        """The group-group-var or group-var-var overlaps whose first token is in firsts."""
+        n = self.n
+        if family == "group-group-var":
+            return [(family, (g, h, i)) for g in firsts for h in self.group for i in range(1, n + 1)]
+        return [(family, (g, j, i)) for g in firsts for j in range(n, 0, -1) for i in range(j - 1, 0, -1)]
 
     def overlap_words(self, *, exhaustive: bool = False) -> list[tuple[str, Word]]:
         """The overlap ambiguities to resolve, in deterministic order.
 
-        Families: (g, h, v_i), with g a generator unless exhaustive (see the
-        module docstring); (g, v_j, v_i) with j > i; (v_k, v_j, v_i) with
-        k > j > i.  Triple-group words (g, h, k) are resolved by group
-        associativity -- both parses collapse to the product ghk -- and are
-        skipped.
+        Families: (g, h, v_i); (g, v_j, v_i) with j > i; (v_k, v_j, v_i)
+        with k > j > i.  In the first two, g is a generator unless
+        exhaustive (see the module docstring).  Triple-group words (g, h, k)
+        are resolved by group associativity -- both parses collapse to the
+        product ghk -- and are skipped.
         """
-        out = self._group_group_var(self.group if exhaustive else self.group.generators)
-        for g in self.group:
-            for j in range(self.n, 0, -1):
-                for i in range(j - 1, 0, -1):
-                    out.append(("group-var-var", (g, j, i)))
+        firsts = self.group if exhaustive else self.group.generators
+        out = self._family("group-group-var", firsts) + self._family("group-var-var", firsts)
         for k in range(self.n, 0, -1):
             for j in range(k - 1, 0, -1):
                 for i in range(j - 1, 0, -1):
@@ -268,10 +312,8 @@ class RewriteSystem:
             witness = self._resolve(family, word)
             if witness is None:
                 continue
-            if family == "group-group-var" and not exhaustive:
-                witness = next(
-                    w for w in (self._resolve(*fw) for fw in self._group_group_var(self.group)) if w
-                )
+            if family != "var-var-var" and not exhaustive:
+                witness = next(w for w in (self._resolve(*fw) for fw in self._family(family, self.group)) if w)
             self._confluent = False
             return False, witness
         self._confluent = True

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -122,10 +123,41 @@ def char2_matrix_pair():
 SWEEP_PROFILES = ("general", "mu-family", "perturbed-mu")
 
 
+def coboundary_pair(n: int, fs: FieldSpec, seed: int, kappa_profile: str):
+    """A mu-family lambda plus the coboundary g phi(v) - phi(^g v) g, with a seeded kappa.
+
+    phi: V -> FG is linear and seeded, with one term per basis vector, all
+    on the identity for about half the pairs.  A coboundary keeps the
+    cocycle identity (1), so these pairs get past it to the generator
+    sweeps of (3), (2) and the group-var-var overlaps, and many fail
+    there; a phi on the identity keeps (3) as well, so its pairs reach
+    the sweep of (2).  kappa is that of the seeded `kappa_profile` pair.
+    """
+    lam = random_params(n, fs, seed=seed, profile="mu-family")[0]
+    kap = random_params(n, fs, seed=seed, profile=kappa_profile)[1]
+    group = lam.group
+    rng = random.Random(f"coboundary|n={n}|p={fs.characteristic}|{kappa_profile}|seed={seed}")
+    on_identity = rng.random() < 0.5
+    phi = {}
+    for i in range(1, n + 1):
+        g = group.identity if on_identity else group.elements[rng.randrange(len(group))]
+        phi[i] = AlgebraElement.term(fs, g, fs(rng.choice((1, 2, -1))))
+    table = {}
+    for g in group:
+        for i in range(1, n + 1):
+            moved = AlgebraElement.zero(fs)
+            for r, c in g.column(i, fs):
+                moved = moved + phi[r].scale(c)
+            table[(g, i)] = lam.at(g, i) + phi[i].mul_left(g) - moved.mul_right(g)
+    return LambdaParam(group, fs, table), kap
+
+
 def sweep_grid():
     """Seeded pairs for comparing the generator and exhaustive sweeps.
 
-    Every profile at n = 3 (four seeds) and n = 4 (one seed), p in {0, 3, 5, 7}.
+    Every profile at n = 3 (four seeds) and n = 4 (one seed), then a
+    coboundary pair (`coboundary_pair`) for every kappa profile at n = 3
+    (three seeds) and n = 4 (one seed); p in {0, 3, 5, 7} throughout.
     """
     for n, seeds in ((3, range(4)), (4, range(1))):
         for p in (0, 3, 5, 7):
@@ -134,6 +166,13 @@ def sweep_grid():
                 for seed in seeds:
                     lam, kap = random_params(n, fs, seed=seed + 500, profile=profile)
                     yield (n, p, profile, seed), lam, kap
+    for n, seeds in ((3, range(3)), (4, range(1))):
+        for p in (0, 3, 5, 7):
+            fs = FieldSpec(p)
+            for profile in SWEEP_PROFILES:
+                for seed in seeds:
+                    lam, kap = coboundary_pair(n, fs, seed + 600, profile)
+                    yield (n, p, f"coboundary/{profile}", seed), lam, kap
 
 
 @pytest.fixture(scope="session")

@@ -172,6 +172,7 @@ def test_normal_form_bad_word_exit2(capsys):
     for fixture, word in (
         ("golden_rule.json", "xyz"),
         ("example_4_3.json", "M[[1,x],[0,1]] v1"),  # an entry that is not a scalar
+        ("example_4_3.json", "M[[1,1],[1,1]] v1"),  # a singular matrix
     ):
         code = main(["normal-form", "--input", str(FIXTURES / fixture), "--word", word])
         err = assert_one_line_error(capsys, code)
@@ -351,6 +352,10 @@ def test_normal_form_group_token_outside_group_exit2(capsys, fixture, word):
         ),
         ({"characteristic": 5, "n": -1, "group": {"type": "symmetric_permutation", "n": -1}},
          "parameter file field 'n'"),
+        (  # a singular matrix from a file is refused, although products skip the check
+            {"characteristic": 5, "n": 2, "group": {"type": "matrix", "generators": [["1", "2", "2", "4"]]}},
+            "group generator 0: matrix is singular",
+        ),
     ],
 )
 def test_check_malformed_params_exit2(capsys, tmp_path, payload, named):
@@ -409,9 +414,20 @@ def test_check_directory_path_exit2(capsys, tmp_path, flag):
         (["convert", "--input", str(FIXTURES / "golden_rule.json"), "--degree", "-1"], "--degree"),
         (["crossval", "--n", "3", "--char", "5", "--samples", "0"], "--samples"),
         (["crossval", "--n", "3", "--char", "5", "--samples", "-2"], "--samples"),
+        (["crossval", "--n", "2", "--char", "5", "--samples", "3"], "--n"),
+        (["crossval", "--n", "1", "--char", "5", "--samples", "1"], "--n"),
+        (["crossval", "--n", "8", "--char", "5", "--samples", "1"], "--n"),
+        (["crossval", "--n", "9", "--char", "5", "--samples", "1"], "--n"),
     ],
 )
-def test_out_of_range_flag_exit2(capsys, argv, flag):
+def test_out_of_range_flag_exit2(capsys, monkeypatch, argv, flag):
+    """Refused before any work: no crossval sample is generated."""
+    import dhecke.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a crossval sample was generated")
+
+    monkeypatch.setattr(dhecke.cli, "random_params", fail)
     err = assert_one_line_error(capsys, main(argv))
     assert flag in err
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from dhecke import (
@@ -211,21 +213,23 @@ def test_checker_agrees_with_oracle_across_grid():
 
 
 def test_generator_sweep_matches_exhaustive():
-    """Condition (1) on generators only gives the exhaustive verdicts and witnesses."""
-    cond1_fails = later_fails = off_generator = 0
+    """Conditions (1), (3) and (2) on generators only give the exhaustive verdicts and witnesses."""
+    reduced_fails = Counter()  # failures of k met by its reduced sweep, and those off the generators
     for label, lam, kap in sweep_grid():
         reduced = check_pbw(lam, kap)
         full = check_pbw(lam, kap, exhaustive=True)
         assert reduced.verdicts == full.verdicts, label
         assert reduced.witnesses == full.witnesses, label
-        assert check_condition(1, lam, kap) == check_condition(1, lam, kap, exhaustive=True), label
-        if not full.verdicts[1]:
-            cond1_fails += 1
-            off_generator += full.witnesses[1].g not in lam.group.generators
-        elif not full.pbw:
-            later_fails += 1
-    # the grid exercises both branches, and witnesses the generators alone would not give
-    assert cond1_fails and later_fails and off_generator
+        # full is made of check_condition(k, exhaustive=True) for k = 1..5
+        for k in range(1, 6):
+            assert check_condition(k, lam, kap) == (full.verdicts[k], full.witnesses.get(k)), (label, k)
+        v = full.verdicts
+        for k, swept_on_generators in ((1, True), (3, v[1]), (2, v[1] and v[3])):
+            if swept_on_generators and not v[k]:
+                reduced_fails[k] += 1
+                reduced_fails[k, "off"] += full.witnesses[k].g not in lam.group.generators
+    # each reduced sweep fails somewhere, and somewhere at a witness the generators alone would not give
+    assert all(reduced_fails[k] and reduced_fails[k, "off"] for k in (1, 3, 2)), reduced_fails
 
 
 def test_generator_sweep_finds_single_bad_entry(F5, S3):
