@@ -311,7 +311,8 @@ def mu_to_json(mu: MuParams):
 def mu_from_json(data, field_spec: FieldSpec | None = None, n: int | None = None) -> MuParams:
     """Parse a mu file; a missing or ill-typed field raises ValueError naming it.
 
-    `field_spec` and `n`, when given, override the file's values.
+    `field_spec` and `n`, when given, override the file's values, as the
+    CLI's --char and --n do.
     """
     top = "mu file"
     if field_spec is None:
@@ -319,7 +320,14 @@ def mu_from_json(data, field_spec: FieldSpec | None = None, n: int | None = None
         field_spec = FieldSpec(p, allow_char2=(p == 2))
     b_data = _list_field(data, "b", top)
     if n is None:
+        n_from = f"{top} field 'n'"
         n = _int_field(data, "n", top) if "n" in data else len(b_data) + 1
+    else:
+        n_from = "--n"
+    if len(b_data) != n - 1:
+        raise ValueError(
+            f"{top} field 'b' must hold n - 1 = {n - 1} values (n = {n} from {n_from}), got {len(b_data)}"
+        )
     a_data = data.get("a", {})
     if not isinstance(a_data, dict):
         raise ValueError(f"{top} field 'a' must be a JSON object, got {type(a_data).__name__}")

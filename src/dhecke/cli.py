@@ -101,6 +101,11 @@ def cmd_build(args) -> int:
         data = json.load(fh)
     fs = None
     if args.char is not None:
+        if args.char == 2 and not args.force_char2:
+            raise CharTwoUnsupported(
+                "--char 2 requires --force-char2; "
+                "PBW questions in characteristic 2 go through the rewrite oracle"
+            )
         fs = FieldSpec(args.char, allow_char2=args.force_char2)
     mu = mu_from_json(data, field_spec=fs, n=args.n)
     lam, kappa = build_H_mu(mu)

@@ -8,9 +8,8 @@ with the cocycle identity checked by the PBW machinery.
 
 Both kinds describe their action the same way: `g.column(i, fs)` is the
 image ^g v_i as its nonzero (index, coefficient) pairs.  The parameter
-evaluators, PBW conditions (1) and (2), the rewrite rules and the
-conversion read the action through it, so none of them branches on the
-element kind.  `act_on_vector` is the dense form of the same action.
+evaluators, the PBW conditions, the rewrite rules and the conversion read
+the action through it alone, so none of them branches on the element kind.
 """
 
 from __future__ import annotations
@@ -101,15 +100,6 @@ class Perm:
         """^g v_i = v_{g(i)}, as its one (index, coefficient) pair."""
         return ((self.images[i - 1], fs.one),)
 
-    def act_on_vector(self, v: Sequence[Scalar]) -> Vector:
-        """Coefficients of ^g v in the fixed basis: v_i maps to v_{g(i)}."""
-        if len(v) != self.n:
-            raise ValueError("dimension mismatch")
-        out = list(v)
-        for i, img in enumerate(self.images, start=1):
-            out[img - 1] = v[i - 1]
-        return tuple(out)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles including fixed points, each starting at its minimum."""
         seen = [False] * self.n
@@ -126,12 +116,9 @@ class Perm:
             out.append(tuple(cyc))
         return out
 
-    def reflection_length(self) -> int:
-        """Minimal number of transpositions: n minus the number of cycles."""
-        return self.n - len(self.cycles())
-
     def fixed_space_codim(self) -> int:
-        return self.reflection_length()
+        """The reflection length: n minus the number of cycles."""
+        return self.n - len(self.cycles())
 
     def fixed_space_basis(self, fs: FieldSpec) -> list[Vector]:
         """Orbit sums: one indicator vector per cycle spans the fixed space."""
@@ -235,14 +222,6 @@ class MatrixElement:
             object.__setattr__(self, "_columns", tuple(linalg.column(col) for col in zip(*self.rows)))
         return self._columns[i - 1]
 
-    def act_on_vector(self, v: Sequence[Scalar]) -> Vector:
-        if len(v) != self.n:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum((self.rows[i][j] * v[j] for j in range(self.n)), self.field.zero)
-            for i in range(self.n)
-        )
-
     def fixed_space_codim(self) -> int:
         return linalg.rank(self._minus_identity())
 
@@ -335,9 +314,6 @@ class GroupTable:
 
     def __contains__(self, g: GroupElement) -> bool:
         return g in self._index
-
-    def index(self, g: GroupElement) -> int:
-        return self._index[g]
 
     def inverse(self, g: GroupElement) -> GroupElement:
         return self._inverses[g]

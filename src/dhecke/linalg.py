@@ -1,8 +1,9 @@
 """Tiny exact linear algebra over a FieldSpec: rank, RREF, null spaces.
 
-Matrices are tuples of row tuples of Scalars; vectors are tuples of Scalars.
-A column is the sparse form of a vector: its nonzero (1-based index,
-coefficient) pairs in ascending index order.
+Matrices are tuples of row tuples of Scalars; vectors are tuples of Scalars,
+the dense form that elimination works on.  A column is the sparse form of a
+vector: its nonzero (1-based index, coefficient) pairs in ascending index
+order.  The group action is read through columns.
 Everything here is desk-scale (n <= a few dozen), so plain Gaussian
 elimination is plenty.
 """
@@ -18,32 +19,9 @@ Matrix = tuple[Vector, ...]
 Column = tuple[tuple[int, Scalar], ...]
 
 
-def basis_vector(fs: FieldSpec, n: int, i: int) -> Vector:
-    """Unit coefficient vector for v_i (1-indexed)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"basis index {i} out of range 1..{n}")
-    return tuple(fs.one if k == i - 1 else fs.zero for k in range(n))
-
-
 def column(v: Sequence[Scalar]) -> Column:
     """The nonzero entries of a dense vector as (index, coefficient) pairs."""
     return tuple((i, c) for i, c in enumerate(v, start=1) if c)
-
-
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vector:
-    return tuple(c * a for a in v)
-
-
-def is_zero_vector(v: Sequence[Scalar]) -> bool:
-    return not any(v)
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:

@@ -82,29 +82,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .classify import _read_betas
 from .groups import GroupElement, Perm
 from .group_algebra import AlgebraElement
-from .linalg import (
-    Vector,
-    basis_vector,
-    column,
-    is_zero_vector,
-    nullspace,
-    same_subspace,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .linalg import Column, Vector, column, nullspace, same_subspace
 from .parameters import (
     KappaParam,
     LambdaParam,
     algebra_element_to_json,
     element_to_json,
 )
-from .scalars import CharTwoUnsupported
+from .scalars import CharTwoUnsupported, FieldSpec, Scalar
 
 
 @dataclass
@@ -200,6 +190,15 @@ def _cond2(
     return None
 
 
+def _dense(fs: FieldSpec, n: int, terms: Iterable[tuple[Scalar, Column]]) -> Vector:
+    """The sum of c * col over the (c, col) terms, as a dense n-vector."""
+    out = [fs.zero] * n
+    for c, col in terms:
+        for i, x in col:
+            out[i - 1] = out[i - 1] + c * x
+    return tuple(out)
+
+
 def _cond3(
     lam: LambdaParam, kappa: KappaParam, gs: Optional[Sequence[GroupElement]] = None
 ) -> Optional[Witness]:
@@ -207,49 +206,34 @@ def _cond3(
     fs = lam.field
     n = lam.n
     for g in lam.group if gs is None else gs:
-        basis_g = [g.act_on_vector(basis_vector(fs, n, i)) for i in range(1, n + 1)]
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                supp = set(lam.at(g, i).terms) | set(lam.at(g, j).terms)
-                if not supp:
-                    continue
-                for h in lam.group:
-                    if h not in supp:
-                        continue
-                    cu = lam.coefficient(h, g, i)
-                    cv = lam.coefficient(h, g, j)
-                    hu = h.act_on_vector(basis_vector(fs, n, i))
-                    hv = h.act_on_vector(basis_vector(fs, n, j))
-                    lhs = vec_scale(cv, vec_sub(hu, basis_g[i - 1]))
-                    rhs = vec_scale(cu, vec_sub(hv, basis_g[j - 1]))
-                    diff = vec_sub(lhs, rhs)
-                    if not is_zero_vector(diff):
+                lu, lv = lam.at(g, i), lam.at(g, j)
+                # D3 vanishes at every h outside the support of lambda(g, v_i) and lambda(g, v_j)
+                for h in sorted(lu.terms.keys() | lv.terms.keys(), key=lambda x: x.sort_key()):
+                    cu, cv = lu.coefficient(h), lv.coefficient(h)
+                    terms = ((cv, h.column(i, fs)), (-cv, g.column(i, fs)))
+                    terms += ((-cu, h.column(j, fs)), (cu, g.column(j, fs)))
+                    diff = _dense(fs, n, terms)
+                    if any(diff):
                         return Witness(3, g, h, (i, j), diff)
     return None
 
 
 def _cond4(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
+    """The cyclic sum of kappa_g(v_i, v_j) (^g v_k - v_k) at every g in the support of kappa."""
     fs = lam.field
     n = lam.n
-    support = set(kappa.support())
-    for g in lam.group:
-        if g not in support:
-            continue
-        moved = [
-            vec_sub(g.act_on_vector(basis_vector(fs, n, i)), basis_vector(fs, n, i))
-            for i in range(1, n + 1)
-        ]
+    for g in kappa.support():
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(j + 1, n + 1):
-                    total = vec_add(
-                        vec_add(
-                            vec_scale(kappa.coefficient(g, i, j), moved[k - 1]),
-                            vec_scale(kappa.coefficient(g, j, k), moved[i - 1]),
-                        ),
-                        vec_scale(kappa.coefficient(g, k, i), moved[j - 1]),
-                    )
-                    if not is_zero_vector(total):
+                    terms = []
+                    for a, b, m in ((i, j, k), (j, k, i), (k, i, j)):
+                        c = kappa.coefficient(g, a, b)
+                        terms += ((c, g.column(m, fs)), (-c, ((m, fs.one),)))
+                    total = _dense(fs, n, terms)
+                    if any(total):
                         return Witness(4, g, None, (i, j, k), total)
     return None
 

@@ -366,21 +366,28 @@ def test_check_malformed_params_exit2(capsys, tmp_path, payload, named):
     assert named in err
 
 
+MALFORMED_MU = [  # (mu file, build flags, what the error names)
+    ({"characteristic": 5, "n": 3, "b": 7}, [], "'b'"),
+    ([1], [], "JSON object"),
+    ({"characteristic": 5, "n": 3, "a": {"1;2": "1"}, "b": ["1", "1"], "c": "1"}, [], "field 'a' key '1;2'"),
+    ({"characteristic": 5, "n": 3, "b": ["1", "x"], "c": "1"}, [], "field 'b' entry 1"),
+    ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "zz"}, [], "field 'c'"),
+    ({"characteristic": 5, "n": 3, "a": {"1,9": "0"}, "b": ["1", "1"], "c": "1"}, [], "a-table key"),
+    ({"characteristic": 5, "n": 4, "b": ["1"], "c": "1"}, [], "mu file field 'b' must hold n - 1 = 3 values (n = 4 from mu file field 'n')"),
+    ({"characteristic": 5, "b": ["1", "1"], "c": "1"}, ["--n", "4"], "mu file field 'b' must hold n - 1 = 3 values (n = 4 from --n)"),
+    ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "1"}, ["--char", "2"], "--char 2 requires --force-char2"),
+]
+
+
 @pytest.mark.parametrize(
-    "payload, named",
-    [
-        ({"characteristic": 5, "n": 3, "b": 7}, "'b'"),
-        ([1], "JSON object"),
-        ({"characteristic": 5, "n": 3, "a": {"1;2": "1"}, "b": ["1", "1"], "c": "1"}, "field 'a' key '1;2'"),
-        ({"characteristic": 5, "n": 3, "b": ["1", "x"], "c": "1"}, "field 'b' entry 1"),
-        ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "zz"}, "field 'c'"),
-        ({"characteristic": 5, "n": 3, "a": {"1,9": "0"}, "b": ["1", "1"], "c": "1"}, "a-table key"),
-    ],
+    "payload, flags, named",
+    MALFORMED_MU,
+    ids=[f"payload{k}-{named}" for k, (_, _, named) in enumerate(MALFORMED_MU)],
 )
-def test_build_malformed_mu_exit2(capsys, tmp_path, payload, named):
+def test_build_malformed_mu_exit2(capsys, tmp_path, payload, flags, named):
     path = tmp_path / "mu.json"
     path.write_text(json.dumps(payload))
-    code = main(["build", "--mu", str(path)])
+    code = main(["build", "--mu", str(path), *flags])
     err = assert_one_line_error(capsys, code)
     assert named in err
 

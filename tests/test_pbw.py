@@ -24,7 +24,7 @@ from dhecke import (
     random_params,
     scale_params,
 )
-from dhecke.linalg import basis_vector, column, vec_scale, vec_sub
+from dhecke.linalg import column
 from dhecke.scalars import CharTwoUnsupported
 
 from conftest import build_char2_matrix_pair, sweep_grid
@@ -63,23 +63,63 @@ def test_noninvariant_kappa_fails_condition_2(F5, S3):
     assert not report.pbw and not report.verdicts[2]
 
 
+def _image(g, u, fs):
+    """^g u as a dense vector, computed from the matrix of g rather than its columns."""
+    return tuple(sum((a * x for a, x in zip(row, u)), fs.zero) for row in g.matrix(fs))
+
+
+def _unit(fs, n, i):
+    return tuple(fs.one if k == i else fs.zero for k in range(1, n + 1))
+
+
+def _s3_matrix_table(fs):
+    gens = (Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 2, 3)))
+    return enumerate_group([MatrixElement(fs, g.matrix(fs)) for g in gens])
+
+
 def test_condition3_witness_is_genuine(F5, S3):
-    # lambda((1 2), v1) = 1_G only: the identity coefficient moves v2 but not v1
-    s = Perm.from_cycles(3, (1, 2))
-    lam = LambdaParam(S3, F5, {(s, 1): AlgebraElement.term(F5, S3.identity)})
-    ok, witness = check_condition(3, lam, KappaParam(F5, 3))
-    assert not ok
-    g, h = witness.g, witness.h
-    i, j = witness.indices
-    cu = lam.coefficient(h, g, i)
-    cv = lam.coefficient(h, g, j)
-    hu = h.act_on_vector(basis_vector(F5, 3, i))
-    hv = h.act_on_vector(basis_vector(F5, 3, j))
-    gu = g.act_on_vector(basis_vector(F5, 3, i))
-    gv = g.act_on_vector(basis_vector(F5, 3, j))
-    assert vec_sub(vec_scale(cv, vec_sub(hu, gu)), vec_scale(cu, vec_sub(hv, gv))) == tuple(
-        witness.discrepancy
-    )
+    """The (3) witness is D3 recomputed from matrices, on S_3 and on its permutation matrices.
+
+    lambda((1 2), v1) = 1_G: the identity coefficient moves v2 but not v1.
+    lambda((1 2 3), v1) = 1_G: the witness reads a 3-cycle, whose matrix is
+    not its transpose, so reading rows for columns changes the discrepancy.
+    """
+    table = _s3_matrix_table(F5)
+    for g0 in (Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 2, 3))):
+        perm_lam = LambdaParam(S3, F5, {(g0, 1): AlgebraElement.term(F5, S3.identity)})
+        for lam in (perm_lam, _on_matrices(perm_lam, KappaParam(F5, 3), table)[0]):
+            ok, witness = check_condition(3, lam, KappaParam(F5, 3))
+            assert not ok
+            g, h = witness.g, witness.h
+            i, j = witness.indices
+            cu = lam.coefficient(h, g, i)
+            cv = lam.coefficient(h, g, j)
+            hu, hv = _image(h, _unit(F5, 3, i), F5), _image(h, _unit(F5, 3, j), F5)
+            gu, gv = _image(g, _unit(F5, 3, i), F5), _image(g, _unit(F5, 3, j), F5)
+            expected = tuple(cv * (a - b) - cu * (c - d) for a, b, c, d in zip(hu, gu, hv, gv))
+            assert expected == witness.discrepancy
+            assert any(expected)
+
+
+def test_condition4_witness_is_genuine(F5, S3):
+    """The (4) witness is the cyclic sum recomputed from matrices, on S_3 and its matrices.
+
+    kappa(v1, v2) = (1 2 3) alone breaks (4): at g = (1 2 3) the sum over
+    (1, 2, 3) is ^g v3 - v3 = v1 - v3.
+    """
+    cyc = Perm.from_cycles(3, (1, 2, 3))
+    perm_pair = (LambdaParam.zero(S3, F5), KappaParam(F5, 3, {(1, 2): AlgebraElement.term(F5, cyc)}))
+    for lam, kap in (perm_pair, _on_matrices(*perm_pair, _s3_matrix_table(F5))[:2]):
+        ok, witness = check_condition(4, lam, kap)
+        assert not ok
+        g = witness.g
+        i, j, k = witness.indices
+        expected = [F5.zero] * 3
+        for a, b, m in ((i, j, k), (j, k, i), (k, i, j)):
+            c = kap.coefficient(g, a, b)
+            vm = _unit(F5, 3, m)
+            expected = [e + c * (x - y) for e, x, y in zip(expected, _image(g, vm, F5), vm)]
+        assert tuple(expected) == witness.discrepancy == (F5.one, F5.zero, -F5.one)
 
 
 def test_scaling_preserves_pbw(unit_block_n3, F5):
@@ -117,8 +157,8 @@ def test_condition_quantification_is_multilinear(two_scalar_n4, F7):
     v = (F7(1), F7(4), F7(2), F7(0))
     cu, cv = column(u), column(v)
     for g in list(lam.group)[:8]:
-        gu = column(g.act_on_vector(u))
-        gv = column(g.act_on_vector(v))
+        gu = column(_image(g, u, F7))
+        gv = column(_image(g, v, F7))
         lhs = kap.eval(gu, gv).mul_right(g) - kap.eval(cu, cv).mul_left(g)
         rhs = lam.eval(lam.eval_vector(g, cv), cu) - lam.eval(lam.eval_vector(g, cu), cv)
         assert lhs == rhs
