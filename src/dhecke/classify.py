@@ -36,7 +36,7 @@ class DistinctnessViolation(ValueError):
 
 
 class MuParams:
-    """The classification tuple: C(n,2) a-values, n-1 b-values, and c."""
+    """The classification tuple: C(n,2) a-values, n-1 b-values, and c, all kept canonical."""
 
     def __init__(
         self,
@@ -53,32 +53,30 @@ class MuParams:
         for i, j in a:
             if not 1 <= i < j <= n:
                 raise ValueError(f"a-table key must have 1 <= i < j <= n, got {(i, j)}")
-        self.a = {k: v for k, v in a.items() if v}
+        canonical = {k: field_spec(v) for k, v in a.items()}
+        self.a = {k: v for k, v in canonical.items() if v}
         if len(b) != n - 1:
             raise ValueError(f"need exactly {n - 1} b-values, got {len(b)}")
-        self.b = tuple(b)
-        self.c = c
+        self.b = tuple(map(field_spec, b))
+        self.c = field_spec(c)
 
     def a_at(self, i: int, j: int) -> Scalar:
         if i == j:
             raise ValueError("a is defined for distinct indices")
         if i < j:
             return self.a.get((i, j), self.field.zero)
-        return -self.a.get((j, i), self.field.zero)
+        return self.field(-self.a.get((j, i), 0))
 
     def b_at(self, k: int) -> Scalar:
         """Indices modulo n; b_n is derived as minus the sum of the others."""
         k = (k - 1) % self.n + 1
         if k < self.n:
             return self.b[k - 1]
-        total = self.field.zero
-        for x in self.b:
-            total = total + x
-        return -total
+        return self.field(-sum(self.b))
 
     def a_triple(self, i: int, j: int, k: int) -> Scalar:
         a = self.a_at
-        return a(i, j) * a(j, k) + a(j, k) * a(k, i) + a(k, i) * a(i, j)
+        return self.field(a(i, j) * a(j, k) + a(j, k) * a(k, i) + a(k, i) * a(i, j))
 
     def free_parameter_count(self) -> int:
         n = self.n
@@ -110,19 +108,14 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
     for g in group:
         for i in range(1, n + 1):
-            coeffs: dict[GroupElement, Scalar] = {}
-            total = fs.zero
-            for k in range(0, g(i) - i + n):
-                total = total + mu.b_at(i + k)
-            if total:
-                coeffs[g] = total
+            coeffs: dict[GroupElement, Scalar] = {g: sum(mu.b_at(i + k) for k in range(g(i) - i + n))}
             for j in range(1, n + 1):
                 if j == i:
                     continue
                 c = mu.a_at(i, j) - mu.a_at(g(i), g(j))
                 if c:
                     t = g * Perm.transposition(n, i, j)
-                    coeffs[t] = coeffs.get(t, fs.zero) + c
+                    coeffs[t] = coeffs.get(t, 0) + c
             lam_table[(g, i)] = AlgebraElement(fs, coeffs)
     a123 = mu.a_triple(1, 2, 3)
     kap_table: dict[tuple[int, int], AlgebraElement] = {}
@@ -132,12 +125,12 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
             for k in range(1, n + 1):
                 if k in (i, j):
                     continue
-                c = mu.c - a123 + mu.a_triple(i, j, k)
+                c = fs(mu.c - a123 + mu.a_triple(i, j, k))
                 if c:
                     fwd = Perm.from_cycles(n, (i, j, k))
                     bwd = Perm.from_cycles(n, (i, k, j))
-                    coeffs[fwd] = coeffs.get(fwd, fs.zero) + c
-                    coeffs[bwd] = coeffs.get(bwd, fs.zero) - c
+                    coeffs[fwd] = coeffs.get(fwd, 0) + c
+                    coeffs[bwd] = coeffs.get(bwd, 0) - c
             kap_table[(i, j)] = AlgebraElement(fs, coeffs)
     return LambdaParam(group, fs, lam_table), KappaParam(fs, n, kap_table)
 
@@ -153,7 +146,7 @@ def _read_betas(lam: LambdaParam) -> tuple[Scalar, ...]:
     betas = []
     for k in range(1, n + 1):
         s_k = lam.group.adjacent_transposition(k)
-        betas.append(half * (lam.at(s_k, k) - lam.at(s_k, k % n + 1)).coefficient(s_k))
+        betas.append(lam.field(half * (lam.at(s_k, k) - lam.at(s_k, k % n + 1)).coefficient(s_k)))
     return tuple(betas)
 
 
@@ -198,7 +191,7 @@ def low_dim_family(n: int, params: Sequence[Scalar], field_spec: FieldSpec) -> t
     if n == 1:
         if len(params) != 0:
             raise ValueError("the n=1 family has no parameters; only (0, 0) is PBW")
-        return LambdaParam.zero(group, fs), KappaParam(fs, 1)
+        return LambdaParam(group, fs), KappaParam(fs, 1)
     s = Perm.transposition(2, 1, 2)
     ident = Perm.identity(2)
     if len(params) == 2:
@@ -235,7 +228,7 @@ def invariant_kappa_params(
         raise ValueError("needs n > 2")
     if len(a_first_row) != n - 1:
         raise ValueError(f"need a_1i for i = 2..{n}, got {len(a_first_row)} values")
-    vals = list(a_first_row)
+    vals = [field_spec(x) for x in a_first_row]
     for x in range(len(vals)):
         for y in range(x + 1, len(vals)):
             if vals[x] == vals[y]:
@@ -249,7 +242,7 @@ def invariant_kappa_params(
             a[(1, i)] = first[i]
     for i in range(2, n + 1):
         for j in range(i + 1, n + 1):
-            val = (d + first[i] * first[j]) / (first[i] - first[j])
+            val = field_spec((d + first[i] * first[j]) * field_spec.inv(field_spec(first[i] - first[j])))
             if val:
                 a[(i, j)] = val
     return MuParams(field_spec, n, a, tuple(b), c)
@@ -264,9 +257,7 @@ def two_param_family(a: Scalar, b: Scalar, n: int, field_spec: FieldSpec) -> tup
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
     for g in group:
         for i in range(1, n + 1):
-            c = fs(g(i) - i) * a
-            if c:
-                lam_table[(g, i)] = AlgebraElement.term(fs, g, c)
+            lam_table[(g, i)] = AlgebraElement.term(fs, g, (g(i) - i) * a)
     kap_table: dict[tuple[int, int], AlgebraElement] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -148,7 +148,7 @@ def cmd_convert(args) -> int:
     lam, kappa = _load_params(args.input)
     result = convert(lam, kappa)
     ok = verify_isomorphism(lam, kappa, result, m=args.degree)
-    converted = params_to_json(LambdaParam.zero(lam.group, lam.field), result.kappa_converted)
+    converted = params_to_json(LambdaParam(lam.group, lam.field), result.kappa_converted)
     certificate = {
         "gamma": {str(i): algebra_element_to_json(v) for i, v in result.gamma.items()},
         "checks": result.checks,

@@ -45,10 +45,10 @@ def gamma(lam: LambdaParam) -> dict[int, AlgebraElement]:
     inv_order = fs.inverse_of_integer(order)
     out: dict[int, AlgebraElement] = {}
     for i in range(1, lam.n + 1):
-        acc = AlgebraElement.zero(fs)
+        acc = AlgebraElement(fs)
         for b in lam.group:
             binv = lam.group.inverse(b)
-            acc = acc + lam.eval_vector(b, binv.column(i, fs)) * AlgebraElement.term(fs, binv)
+            acc = acc + lam.eval_vector(b, binv.column(i)) * AlgebraElement.term(fs, binv)
         out[i] = acc.scale(inv_order)
     return out
 
@@ -104,9 +104,9 @@ def verify_isomorphism(
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             lhs = nc_sub(
-                nc_mul(fs, f_images[i], f_images[j]), nc_mul(fs, f_images[j], f_images[i])
+                fs, nc_mul(fs, f_images[i], f_images[j]), nc_mul(fs, f_images[j], f_images[i])
             )
-            rel = nc_sub(lhs, from_algebra_element(result.kappa_converted.at(i, j)))
+            rel = nc_sub(fs, lhs, from_algebra_element(result.kappa_converted.at(i, j)))
             if rs.normal_form(rel):
                 checks["commutator_relations"] = False
 
@@ -115,15 +115,14 @@ def verify_isomorphism(
         for i in range(1, n + 1):
             lhs = nc_mul(fs, g_sum, f_images[i])
             f_gv: NCSum = {}
-            for k, a in g_elt.column(i, fs):
+            for k, a in g_elt.column(i):
                 for w, c in f_images[k].items():
-                    f_gv[w] = f_gv.get(w, fs.zero) + a * c
-            f_gv = {w: c for w, c in f_gv.items() if c}
-            rel = nc_sub(lhs, nc_mul(fs, f_gv, g_sum))
+                    f_gv[w] = fs(f_gv.get(w, 0) + a * c)
+            rel = nc_sub(fs, lhs, nc_mul(fs, f_gv, g_sum))
             if rs.normal_form(rel):
                 checks["group_relations"] = False
 
-    converted_rs = RewriteSystem(LambdaParam.zero(lam.group, fs), result.kappa_converted)
+    converted_rs = RewriteSystem(LambdaParam(lam.group, fs), result.kappa_converted)
     if not converted_rs.is_confluent():
         checks["filtered_dimensions"] = False
     else:

@@ -1,8 +1,11 @@
 """Elements of the group algebra FG: finitely supported maps G -> F.
 
-Zero coefficients are never stored, so equality is plain term-wise
-comparison.  Values are immutable by convention; every operation returns a
-fresh element.
+Coefficients are plain canonical scalars (see `dhecke.scalars`).  The
+constructor is where they are made canonical: it reduces each one mod p
+over F_p and drops the zeros, so the arithmetic below adds and multiplies
+plain numbers and leaves the reduction to it.  Zero coefficients are never
+stored, so equality is plain term-wise comparison.  Values are immutable by
+convention; every operation returns a fresh element.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ class AlgebraElement:
     __slots__ = ("field", "terms")
 
     def __init__(self, field_spec: FieldSpec, terms: Mapping[GroupElement, Scalar] | None = None) -> None:
+        p = field_spec.characteristic
         clean: dict[GroupElement, Scalar] = {}
         if terms:
             for g, c in terms.items():
-                if c.field != field_spec:
-                    raise ValueError("mixed-field coefficient")
+                if p:
+                    c %= p
                 if c:
                     clean[g] = c
         object.__setattr__(self, "field", field_spec)
@@ -35,19 +39,14 @@ class AlgebraElement:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(field_spec: FieldSpec) -> "AlgebraElement":
-        return AlgebraElement(field_spec)
-
-    @staticmethod
-    def term(field_spec: FieldSpec, g: GroupElement, coeff: Scalar | None = None) -> "AlgebraElement":
-        return AlgebraElement(field_spec, {g: coeff if coeff is not None else field_spec.one})
+    def term(field_spec: FieldSpec, g: GroupElement, coeff: Scalar = 1) -> "AlgebraElement":
+        return AlgebraElement(field_spec, {g: coeff})
 
     @staticmethod
     def from_pairs(field_spec: FieldSpec, pairs: Iterable[tuple[GroupElement, Scalar]]) -> "AlgebraElement":
         acc: dict[GroupElement, Scalar] = {}
         for g, c in pairs:
-            prev = acc.get(g)
-            acc[g] = c if prev is None else prev + c
+            acc[g] = acc.get(g, 0) + c
         return AlgebraElement(field_spec, acc)
 
     # -- arithmetic --------------------------------------------------------
@@ -62,16 +61,14 @@ class AlgebraElement:
         self._check(other)
         acc = dict(self.terms)
         for g, c in other.terms.items():
-            prev = acc.get(g)
-            acc[g] = c if prev is None else prev + c
+            acc[g] = acc.get(g, 0) + c
         return AlgebraElement(self.field, acc)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         acc = dict(self.terms)
         for g, c in other.terms.items():
-            prev = acc.get(g)
-            acc[g] = -c if prev is None else prev - c
+            acc[g] = acc.get(g, 0) - c
         return AlgebraElement(self.field, acc)
 
     def __neg__(self) -> "AlgebraElement":
@@ -89,9 +86,7 @@ class AlgebraElement:
         for g, cg in self.terms.items():
             for h, ch in other.terms.items():
                 gh = g * h
-                c = cg * ch
-                prev = acc.get(gh)
-                acc[gh] = c if prev is None else prev + c
+                acc[gh] = acc.get(gh, 0) + cg * ch
         return AlgebraElement(self.field, acc)
 
     def mul_left(self, g: GroupElement) -> "AlgebraElement":
@@ -129,7 +124,7 @@ class AlgebraElement:
         )
 
     def __hash__(self) -> int:
-        return hash(frozenset((g, c.value) for g, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:

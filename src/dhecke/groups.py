@@ -6,8 +6,9 @@ over a FieldSpec.  Composition is fixed globally as (gh)(i) = g(h(i)),
 i.e. "apply h, then g" -- a left action, the only convention consistent
 with the cocycle identity checked by the PBW machinery.
 
-Both kinds describe their action the same way: `g.column(i, fs)` is the
-image ^g v_i as its nonzero (index, coefficient) pairs.  The parameter
+Both kinds describe their action the same way: `g.column(i)` is the
+image ^g v_i as its nonzero (index, coefficient) pairs; a permutation's
+coefficient is the int 1, which is canonical in every field.  The parameter
 evaluators, the PBW conditions, the rewrite rules and the conversion read
 the action through it alone, so none of them branches on the element kind.
 """
@@ -96,9 +97,9 @@ class Perm:
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
 
-    def column(self, i: int, fs: FieldSpec) -> Column:
+    def column(self, i: int) -> Column:
         """^g v_i = v_{g(i)}, as its one (index, coefficient) pair."""
-        return ((self.images[i - 1], fs.one),)
+        return ((self.images[i - 1], 1),)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles including fixed points, each starting at its minimum."""
@@ -120,21 +121,13 @@ class Perm:
         """The reflection length: n minus the number of cycles."""
         return self.n - len(self.cycles())
 
-    def fixed_space_basis(self, fs: FieldSpec) -> list[Vector]:
+    def fixed_space_basis(self) -> list[Vector]:
         """Orbit sums: one indicator vector per cycle spans the fixed space."""
-        basis = []
-        for cyc in self.cycles():
-            vec = [fs.zero] * self.n
-            for i in cyc:
-                vec[i - 1] = fs.one
-            basis.append(tuple(vec))
-        return basis
+        return [tuple(1 if i in cyc else 0 for i in range(1, self.n + 1)) for cyc in self.cycles()]
 
-    def matrix(self, fs: FieldSpec) -> tuple[Vector, ...]:
-        rows = [[fs.zero] * self.n for _ in range(self.n)]
-        for i, img in enumerate(self.images, start=1):
-            rows[img - 1][i - 1] = fs.one
-        return tuple(tuple(r) for r in rows)
+    def matrix(self) -> tuple[Vector, ...]:
+        """Column i is the basis vector v_{g(i)}."""
+        return tuple(tuple(1 if img == r else 0 for img in self.images) for r in range(1, self.n + 1))
 
     def sort_key(self):
         return self.images
@@ -159,14 +152,14 @@ class MatrixElement:
         n = len(rs)
         if any(len(row) != n for row in rs):
             raise ValueError("matrix must be square")
-        if linalg.rank(rs) != n:
+        if linalg.rank(field_spec, rs) != n:
             raise ValueError("matrix is singular")
         self._set(field_spec, rs)
 
     def _set(self, field_spec: FieldSpec, rows: tuple[Vector, ...]) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "field", field_spec)
-        object.__setattr__(self, "_hash", hash(tuple(s.value for row in rows for s in row)))
+        object.__setattr__(self, "_hash", hash(rows))
         # Built on the first column() call: products make many matrices whose action is never read.
         object.__setattr__(self, "_columns", None)
 
@@ -189,57 +182,43 @@ class MatrixElement:
             return NotImplemented
         if other.n != self.n or other.field != self.field:
             raise ValueError("mismatched matrices")
-        n = self.n
-        rows = [
-            [
-                sum((self.rows[i][k] * other.rows[k][j] for k in range(n)), self.field.zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return MatrixElement._raw(self.field, rows)
+        fs = self.field
+        cols = tuple(zip(*other.rows))
+        rows = [[fs(sum(a * b for a, b in zip(row, col))) for col in cols] for row in self.rows]
+        return MatrixElement._raw(fs, rows)
 
     def inverse(self) -> "MatrixElement":
         n = self.n
-        fs = self.field
-        aug = [list(self.rows[i]) + [fs.one if j == i else fs.zero for j in range(n)] for i in range(n)]
-        red, pivots = linalg.rref(aug)
+        aug = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(self.rows)]
+        red, pivots = linalg.rref(self.field, aug)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return MatrixElement._raw(fs, [row[n:] for row in red])
+        return MatrixElement._raw(self.field, [row[n:] for row in red])
 
     def is_identity(self) -> bool:
-        fs = self.field
-        return all(
-            self.rows[i][j] == (fs.one if i == j else fs.zero)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return all(x == (1 if i == j else 0) for i, row in enumerate(self.rows) for j, x in enumerate(row))
 
-    def column(self, i: int, fs: FieldSpec) -> Column:
-        """^g v_i, the nonzero entries of column i; the matrix's own field is used."""
+    def column(self, i: int) -> Column:
+        """^g v_i, the nonzero entries of column i."""
         if self._columns is None:
             object.__setattr__(self, "_columns", tuple(linalg.column(col) for col in zip(*self.rows)))
         return self._columns[i - 1]
 
     def fixed_space_codim(self) -> int:
-        return linalg.rank(self._minus_identity())
+        return linalg.rank(self.field, self._minus_identity())
 
-    def fixed_space_basis(self, fs: FieldSpec) -> list[Vector]:
-        return linalg.nullspace(fs, self._minus_identity(), self.n)
+    def fixed_space_basis(self) -> list[Vector]:
+        return linalg.nullspace(self.field, self._minus_identity(), self.n)
 
     def _minus_identity(self) -> list[list[Scalar]]:
-        fs = self.field
-        return [
-            [self.rows[i][j] - (fs.one if i == j else fs.zero) for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        return [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(self.rows)]
 
-    def matrix(self, fs: FieldSpec) -> tuple[Vector, ...]:
+    def matrix(self) -> tuple[Vector, ...]:
         return self.rows
 
     def sort_key(self):
-        return tuple(s.value for row in self.rows for s in row)
+        # Rows of equal length: the order is that of the row-major entries.
+        return self.rows
 
     def __eq__(self, other) -> bool:
         return (
@@ -346,11 +325,41 @@ def symmetric_group(n: int) -> GroupTable:
     return enumerate_group(list(dict.fromkeys([transposition, long_cycle])))
 
 
+def _finite_exponent(n: int) -> int:
+    """L = lcm{m : phi(m) <= n}, so that g^L = 1 for every g of finite order in GL_n(Q).
+
+    Such a g is diagonalisable over C with roots of unity as eigenvalues; one
+    of order d has the cyclotomic factor Phi_d, of degree phi(d), in the
+    characteristic polynomial, so phi(d) <= n and d divides L, and so does
+    the order of g, the lcm of those d.  phi(m) >= sqrt(m / 2) bounds m.
+    """
+    top = 2 * n * n
+    phi = list(range(top + 1))  # Euler's sieve: phi[k] == k marks k prime
+    for k in range(2, top + 1):
+        if phi[k] == k:
+            for m in range(k, top + 1, k):
+                phi[m] -= phi[m] // k
+    return math.lcm(*(m for m in range(1, top + 1) if phi[m] <= n))
+
+
+def _power(g: GroupElement, e: int) -> GroupElement:
+    """g^e for e >= 1, by left-to-right binary exponentiation."""
+    result = g
+    for bit in bin(e)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * g
+    return result
+
+
 def enumerate_group(generators: Sequence[GroupElement], cap: int = CLOSURE_CAP) -> GroupTable:
     """Close a generating set under products; errors past the cap.
 
     The closure starts at the identity and multiplies by generators on the
     left, so the table's recorded `generators` generate it as a monoid.
+    Over Q each new element g must satisfy g^L = 1 (see `_finite_exponent`);
+    the first that does not has infinite order and is refused by name, so
+    an infinite matrix group never runs on to the cap.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -358,6 +367,8 @@ def enumerate_group(generators: Sequence[GroupElement], cap: int = CLOSURE_CAP) 
     if any(g.n != n for g in generators):
         raise ValueError("mismatched dimensions among generators")
     ident = generators[0] * generators[0].inverse()
+    over_q = isinstance(ident, MatrixElement) and ident.field.characteristic == 0
+    exponent = _finite_exponent(n) if over_q else 0
     seen = {ident}
     frontier = [ident]
     while frontier:
@@ -366,6 +377,11 @@ def enumerate_group(generators: Sequence[GroupElement], cap: int = CLOSURE_CAP) 
             for g in generators:
                 y = g * x
                 if y not in seen:
+                    if exponent and _power(y, exponent) != ident:
+                        raise ValueError(
+                            f"the matrix group over Q is infinite: {y!r} has infinite order "
+                            f"(its power {exponent} is not the identity)"
+                        )
                     seen.add(y)
                     nxt.append(y)
                     if len(seen) > cap:

@@ -1,7 +1,9 @@
 """Tiny exact linear algebra over a FieldSpec: rank, RREF, null spaces.
 
-Matrices are tuples of row tuples of Scalars; vectors are tuples of Scalars,
-the dense form that elimination works on.  A column is the sparse form of a
+Matrices are sequences of rows of plain scalars; vectors are tuples of
+them, the dense form that elimination works on.  Every function here takes
+the field and returns canonical entries; its input rows may hold any ints
+or Fractions, which `rref` reduces first.  A column is the sparse form of a
 vector: its nonzero (1-based index, coefficient) pairs in ascending index
 order.  The group action is read through columns.
 Everything here is desk-scale (n <= a few dozen), so plain Gaussian
@@ -15,18 +17,17 @@ from typing import Sequence
 from .scalars import FieldSpec, Scalar
 
 Vector = tuple[Scalar, ...]
-Matrix = tuple[Vector, ...]
 Column = tuple[tuple[int, Scalar], ...]
 
 
 def column(v: Sequence[Scalar]) -> Column:
-    """The nonzero entries of a dense vector as (index, coefficient) pairs."""
+    """The nonzero entries of a dense canonical vector as (index, coefficient) pairs."""
     return tuple((i, c) for i, c in enumerate(v, start=1) if c)
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
+def rref(fs: FieldSpec, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
+    mat = [[fs(x) for x in r] for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -37,12 +38,12 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [inv * x for x in mat[r]]
+        inv = fs.inv(mat[r][c])
+        mat[r] = [fs(inv * x) for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = [fs(x - f * y) for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -50,27 +51,23 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int
     return mat[:r], pivots
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref(rows)[0])
+def rank(fs: FieldSpec, rows: Sequence[Sequence[Scalar]]) -> int:
+    return len(rref(fs, rows)[0])
 
 
 def nullspace(fs: FieldSpec, rows: Sequence[Sequence[Scalar]], ncols: int) -> list[Vector]:
     """Basis of {x : A x = 0} for the ncols-column matrix A."""
-    red, pivots = rref(rows)
+    red, pivots = rref(fs, rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         x = [fs.zero] * ncols
         x[f] = fs.one
         for ri, pc in enumerate(pivots):
-            x[pc] = -red[ri][f]
+            x[pc] = fs(-red[ri][f])
         basis.append(tuple(x))
     return basis
 
 
-def same_subspace(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
-        return False
-    return rank(list(a) + list(b)) == ra
+def same_subspace(fs: FieldSpec, a: Sequence[Vector], b: Sequence[Vector]) -> bool:
+    return rank(fs, a) == rank(fs, b) == rank(fs, list(a) + list(b))

@@ -25,7 +25,7 @@ class KappaParam:
     def __init__(self, field_spec: FieldSpec, n: int, table: dict[tuple[int, int], AlgebraElement] | None = None) -> None:
         self.field = field_spec
         self.n = n
-        self._zero = AlgebraElement.zero(field_spec)  # the one value of every absent entry
+        self._zero = AlgebraElement(field_spec)  # the one value of every absent entry
         self.table: dict[tuple[int, int], AlgebraElement] = {}
         if table:
             for (i, j), val in table.items():
@@ -87,7 +87,7 @@ class LambdaParam:
         self.group = group
         self.field = field_spec
         self.n = group.n
-        self._zero = AlgebraElement.zero(field_spec)  # the one value of every absent entry
+        self._zero = AlgebraElement(field_spec)  # the one value of every absent entry
         self.table: dict[tuple[GroupElement, int], AlgebraElement] = {}
         if table:
             for (g, i), val in table.items():
@@ -134,10 +134,6 @@ class LambdaParam:
     def scale(self, c: Scalar) -> "LambdaParam":
         return LambdaParam(self.group, self.field, {k: v.scale(c) for k, v in self.table.items()})
 
-    @staticmethod
-    def zero(group: GroupTable, field_spec: FieldSpec) -> "LambdaParam":
-        return LambdaParam(group, field_spec)
-
 
 # -- group action on parameters ---------------------------------------------
 
@@ -150,7 +146,7 @@ def act_on_kappa(h: GroupElement, kappa: KappaParam) -> KappaParam:
     table: dict[tuple[int, int], AlgebraElement] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            table[(i, j)] = kappa.eval(hinv.column(i, fs), hinv.column(j, fs)).conjugate_by(h)
+            table[(i, j)] = kappa.eval(hinv.column(i), hinv.column(j)).conjugate_by(h)
     return KappaParam(fs, n, table)
 
 
@@ -163,7 +159,7 @@ def act_on_lambda(h: GroupElement, lam: LambdaParam) -> LambdaParam:
     for g in lam.group:
         conj = hinv * g * h
         for i in range(1, n + 1):
-            table[(g, i)] = lam.eval_vector(conj, hinv.column(i, fs)).conjugate_by(h)
+            table[(g, i)] = lam.eval_vector(conj, hinv.column(i)).conjugate_by(h)
     return LambdaParam(lam.group, fs, table)
 
 
@@ -172,8 +168,7 @@ def act_on_lambda(h: GroupElement, lam: LambdaParam) -> LambdaParam:
 
 def _random_scalar(rng: random.Random, fs: FieldSpec, nonzero: bool = False) -> Scalar:
     if fs.characteristic:
-        lo = 1 if nonzero else 0
-        return fs(rng.randrange(lo, fs.characteristic))
+        return rng.randrange(1 if nonzero else 0, fs.characteristic)
     while True:
         s = fs(rng.randint(-5, 5))
         if s or not nonzero:

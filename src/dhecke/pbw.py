@@ -159,13 +159,12 @@ def _cond1(
     lam: LambdaParam, kappa: KappaParam, gs: Optional[Sequence[GroupElement]] = None
 ) -> Optional[Witness]:
     """The cocycle identity at every (g, h, i) with g in gs (default: all of G)."""
-    fs = lam.field
     n = lam.n
     for g in lam.group if gs is None else gs:
         for h in lam.group:
             gh = g * h
             for i in range(1, n + 1):
-                rhs = lam.eval_vector(g, h.column(i, fs)).mul_right(h) + lam.at(h, i).mul_left(g)
+                rhs = lam.eval_vector(g, h.column(i)).mul_right(h) + lam.at(h, i).mul_left(g)
                 lhs = lam.at(gh, i)
                 if lhs != rhs:
                     return Witness(1, g, h, (i,), lhs - rhs)
@@ -181,7 +180,7 @@ def _cond2(
     for g in lam.group if gs is None else gs:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                twisted = kappa.eval(g.column(i, fs), g.column(j, fs))
+                twisted = kappa.eval(g.column(i), g.column(j))
                 lhs = twisted.mul_right(g) - kappa.at(i, j).mul_left(g)
                 rhs = lam.eval(lam.at(g, j), ((i, fs.one),)) - lam.eval(lam.at(g, i), ((j, fs.one),))
                 diff = lhs - rhs
@@ -191,12 +190,12 @@ def _cond2(
 
 
 def _dense(fs: FieldSpec, n: int, terms: Iterable[tuple[Scalar, Column]]) -> Vector:
-    """The sum of c * col over the (c, col) terms, as a dense n-vector."""
-    out = [fs.zero] * n
+    """The sum of c * col over the (c, col) terms, as a dense canonical n-vector."""
+    out = [0] * n
     for c, col in terms:
         for i, x in col:
-            out[i - 1] = out[i - 1] + c * x
-    return tuple(out)
+            out[i - 1] += c * x
+    return tuple(map(fs, out))
 
 
 def _cond3(
@@ -212,8 +211,8 @@ def _cond3(
                 # D3 vanishes at every h outside the support of lambda(g, v_i) and lambda(g, v_j)
                 for h in sorted(lu.terms.keys() | lv.terms.keys(), key=lambda x: x.sort_key()):
                     cu, cv = lu.coefficient(h), lv.coefficient(h)
-                    terms = ((cv, h.column(i, fs)), (-cv, g.column(i, fs)))
-                    terms += ((-cu, h.column(j, fs)), (cu, g.column(j, fs)))
+                    terms = ((cv, h.column(i)), (-cv, g.column(i)))
+                    terms += ((-cu, h.column(j)), (cu, g.column(j)))
                     diff = _dense(fs, n, terms)
                     if any(diff):
                         return Witness(3, g, h, (i, j), diff)
@@ -231,7 +230,7 @@ def _cond4(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
                     terms = []
                     for a, b, m in ((i, j, k), (j, k, i), (k, i, j)):
                         c = kappa.coefficient(g, a, b)
-                        terms += ((c, g.column(m, fs)), (-c, ((m, fs.one),)))
+                        terms += ((c, g.column(m)), (-c, ((m, fs.one),)))
                     total = _dense(fs, n, terms)
                     if any(total):
                         return Witness(4, g, None, (i, j, k), total)
@@ -322,7 +321,7 @@ def diagnose_kappa_support(lam: LambdaParam, kappa: KappaParam) -> tuple[bool, l
     problems: list[str] = []
     for g in kappa.support():
         codim = g.fixed_space_codim()
-        fixed = g.fixed_space_basis(fs)
+        fixed = g.fixed_space_basis()
         if codim == 0:
             continue
         if codim == 1:
@@ -335,7 +334,7 @@ def diagnose_kappa_support(lam: LambdaParam, kappa: KappaParam) -> tuple[bool, l
                 [kappa.coefficient(g, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
             ]
             ker = nullspace(fs, rows, n)
-            if not same_subspace(ker, fixed):
+            if not same_subspace(fs, ker, fixed):
                 problems.append(f"bireflection {g!r} has ker kappa_g != fixed space")
         else:
             problems.append(f"{g!r} in kappa support has fixed-space codim {codim} > 2")
@@ -372,7 +371,7 @@ def diagnose_lambda(lam: LambdaParam) -> tuple[bool, list[str]]:
         ginv_elt = AlgebraElement.term(fs, ginv)
         for i in range(1, n + 1):
             lhs = g_elt * lam.at(ginv, i)
-            rhs = -(lam.eval_vector(g, ginv.column(i, fs)) * ginv_elt)
+            rhs = -(lam.eval_vector(g, ginv.column(i)) * ginv_elt)
             if lhs != rhs:
                 problems.append(f"inverse identity fails at ({g!r}, v_{i})")
 
@@ -382,10 +381,10 @@ def diagnose_lambda(lam: LambdaParam) -> tuple[bool, list[str]]:
             powers.append(powers[-1] * g)
         for j in range(1, len(powers)):
             for i in range(1, n + 1):
-                expected = AlgebraElement.zero(fs)
+                expected = AlgebraElement(fs)
                 for m in range(j):
                     post = powers[m]
-                    expected = expected + lam.eval_vector(g, post.column(i, fs)).mul_left(
+                    expected = expected + lam.eval_vector(g, post.column(i)).mul_left(
                         powers[j - 1 - m]
                     ).mul_right(post)
                 if lam.at(powers[j], i) != expected:
@@ -399,7 +398,7 @@ def diagnose_lambda(lam: LambdaParam) -> tuple[bool, list[str]]:
                 if codim > 1:
                     problems.append(f"lambda({g!r}, v_{i}) supported on {h!r} with h^-1 g not a reflection")
                 elif codim == 1:
-                    for w in r.fixed_space_basis(fs):
+                    for w in r.fixed_space_basis():
                         if lam.eval_vector(g, column(w)).coefficient(h):
                             problems.append(
                                 f"lambda({g!r}, *) nonzero at {h!r} on the hyperplane of h^-1 g"
@@ -411,7 +410,7 @@ def diagnose_lambda(lam: LambdaParam) -> tuple[bool, list[str]]:
             continue
         codim = g.fixed_space_codim()
         if codim == 1:
-            for w in g.fixed_space_basis(fs):
+            for w in g.fixed_space_basis():
                 if lam.eval_vector(g, column(w)).coefficient(ident):
                     problems.append(f"lambda_1({g!r}, .) nonzero on the fixed space")
                     break
@@ -439,7 +438,7 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
     # lambda_c(c, v) = 0 for v in the fixed space of c
     ok = True
     for c in group:
-        for w in c.fixed_space_basis(fs):
+        for w in c.fixed_space_basis():
             if lam.eval_vector(c, column(w)).coefficient(c):
                 ok = False
     results["fixed_vector_vanishing"] = ok
@@ -451,7 +450,7 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     gij = g * Perm.transposition(n, i, j)
-                    if lam.coefficient(gij, g, i) != -lam.coefficient(gij, g, j):
+                    if lam.coefficient(gij, g, i) != fs(-lam.coefficient(gij, g, j)):
                         ok = False
     results["transposition_antisymmetry"] = ok
 
@@ -461,7 +460,7 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
 
     # beta_1 + ... + beta_n = 0
     if n > 2 and fs.characteristic != 2 and group.is_symmetric_group:
-        results["beta_sum_zero"] = not sum(_read_betas(lam), fs.zero)
+        results["beta_sum_zero"] = not fs(sum(_read_betas(lam)))
     else:
         results["beta_sum_zero"] = True
 

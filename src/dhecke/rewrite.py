@@ -205,31 +205,32 @@ class RewriteSystem:
     def _apply_rule(self, word: Word, pos: int) -> list[tuple[Word, Scalar]]:
         pre, post = word[:pos], word[pos + 2 :]
         a, b = word[pos], word[pos + 1]
-        one = self.field.one
         if not _is_var(a) and not _is_var(b):
-            return [(pre + (a * b,) + post, one)]
+            return [(pre + (a * b,) + post, 1)]
         if not _is_var(a):
             rhs = self._r2.get((a, b))
             if rhs is None:
                 g, i = a, b
-                rhs = self._r2[(g, i)] = [((r, g), c) for r, c in g.column(i, self.field)] + [
+                rhs = self._r2[(g, i)] = [((r, g), c) for r, c in g.column(i)] + [
                     ((h,), c) for h, c in self.lam.at(g, i).terms.items()
                 ]
             return [(pre + mid + post, c) for mid, c in rhs]
         j, i = a, b
-        out = [(pre + (i, j) + post, one)]
-        for h, c in self.kappa.at(i, j).terms.items():
-            out.append((pre + (h,) + post, -c))
-        return out
+        kappa_terms = self.kappa.at(i, j).terms.items()
+        return [(pre + (i, j) + post, 1)] + [(pre + (h,) + post, -c) for h, c in kappa_terms]
 
     # -- reduction -------------------------------------------------------------
 
     def normal_form(
         self, x: Union[NCSum, Iterable[tuple[Word, Scalar]]], strategy: str = "leftmost"
     ) -> dict[NormalMonomial, Scalar]:
-        """Fully reduce a noncommutative sum to PBW monomials."""
+        """Fully reduce a noncommutative sum to PBW monomials, with canonical coefficients.
+
+        The input coefficients need not be canonical: every product and sum is reduced mod p.
+        """
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
+        p = self.field.characteristic
         items = x.items() if isinstance(x, dict) else x
         stack: list[tuple[Word, Scalar]] = [(w, c) for w, c in items if c]
         out: dict[NormalMonomial, Scalar] = {}
@@ -239,21 +240,19 @@ class RewriteSystem:
             pos = self._find_redex(word, strategy)
             if pos is None:
                 mono = self._canonical(word)
-                prev = out.get(mono)
-                total = coeff if prev is None else prev + coeff
-                if total:
-                    out[mono] = total
-                elif mono in out:
-                    del out[mono]
+                total = out.get(mono, 0) + coeff
+                out[mono] = total % p if p else total
                 continue
             steps += 1
             if steps > self.step_budget:
                 raise StepBudgetExceeded(f"exceeded {self.step_budget} reduction steps")
             for new_word, factor in self._apply_rule(word, pos):
                 c = coeff * factor
+                if p:
+                    c %= p
                 if c:
                     stack.append((new_word, c))
-        return out
+        return {mono: c for mono, c in out.items() if c}
 
     def _canonical(self, word: Word) -> NormalMonomial:
         exps = [0] * self.n
@@ -297,7 +296,7 @@ class RewriteSystem:
         right = self.normal_form(self._apply_rule(word, 1))
         if left == right:
             return None
-        diff = nc_sub(left, right)
+        diff = nc_sub(self.field, left, right)
         return OverlapWitness(
             family, word, tuple(sorted(diff.items(), key=lambda t: t[0].sort_key()))
         )
@@ -339,27 +338,16 @@ def nc_mul(field_spec: FieldSpec, x: NCSum, y: NCSum) -> NCSum:
     for wx, cx in x.items():
         for wy, cy in y.items():
             w = wx + wy
-            c = cx * cy
-            prev = out.get(w)
-            total = c if prev is None else prev + c
-            if total:
-                out[w] = total
-            elif w in out:
-                del out[w]
-    return out
+            out[w] = field_spec(out.get(w, 0) + cx * cy)
+    return {w: c for w, c in out.items() if c}
 
 
-def nc_sub(x: NCSum, y: NCSum) -> NCSum:
+def nc_sub(field_spec: FieldSpec, x: NCSum, y: NCSum) -> NCSum:
     """x - y without zero coefficients; also used on normal-form sums."""
     out = dict(x)
     for w, c in y.items():
-        prev = out.get(w)
-        total = -c if prev is None else prev - c
-        if total:
-            out[w] = total
-        elif w in out:
-            del out[w]
-    return out
+        out[w] = field_spec(out.get(w, 0) - c)
+    return {w: c for w, c in out.items() if c}
 
 
 def from_algebra_element(x: AlgebraElement) -> NCSum:
@@ -413,7 +401,7 @@ def parse_word_sum(
 
     out: NCSum = {}
     for sgn, chunk in terms:
-        coeff = field_spec.one if sgn == "+" else -field_spec.one
+        coeff = field_spec(1 if sgn == "+" else -1)
         word: list[Token] = []
         for tok in chunk.split():
             m = _VAR_RE.match(tok)
@@ -433,17 +421,12 @@ def parse_word_sum(
             if _SCALAR_RE.match(tok):
                 if word:
                     raise ValueError(f"scalar {tok} must prefix its word")
-                coeff = coeff * field_spec.parse(tok)
+                coeff = field_spec(coeff * field_spec.parse(tok))
                 continue
             raise ValueError(f"cannot parse token {tok!r}")
         w = tuple(word)
-        prev = out.get(w)
-        total = coeff if prev is None else prev + coeff
-        if total:
-            out[w] = total
-        elif w in out:
-            del out[w]
-    return out
+        out[w] = field_spec(out.get(w, 0) + coeff)
+    return {w: c for w, c in out.items() if c}
 
 
 def _group_token(tok: str, field_spec: FieldSpec, n: int, group: Optional[GroupTable]) -> Optional[GroupElement]:

@@ -1,17 +1,27 @@
 """Exact field arithmetic over prime fields F_p and the rationals.
 
-Every numeric value in the engine is a :class:`Scalar` attached to a
-:class:`FieldSpec`.  Arithmetic is exact: residues are kept canonically
-reduced in ``{0..p-1}``, characteristic-zero values are arbitrary-precision
-``Fraction`` objects.  Scalars are immutable and safe to share freely.
+A scalar is a plain number in canonical form: an ``int`` in ``0..p-1`` over
+F_p, an arbitrary-precision ``Fraction`` over Q.  :class:`FieldSpec` is the
+one ring object: ``fs(x)`` is the canonical image of an int, a ``Fraction``
+or a decimal/rational string, ``fs.inv(x)`` inverts, and ``fs.zero`` and
+``fs.one`` are plain values.
+
+Python's own operators do the arithmetic, so their results need not be
+canonical over F_p: a negation or a sum may leave ``0..p-1``.  Whatever is
+stored (a table entry, a witness, a normal form) goes through ``fs(...)``
+first, or through the ``AlgebraElement`` constructor, which reduces its
+coefficients.  There is no scalar division: ``/`` on two ints gives a float,
+so every quotient is a product with ``fs.inv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
+
+# A canonical scalar; the type of every coefficient in the engine.
+Scalar = Union[int, Fraction]
 
 
 class ModularObstruction(ArithmeticError):
@@ -26,16 +36,34 @@ class CharTwoUnsupported(ValueError):
     """
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below MAX_CHARACTERISTIC (OEIS A014233; the first 12 alone are exact only
+# below 3.18e23).  A larger characteristic is refused rather than guessed.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < MAX_CHARACTERISTIC."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -45,11 +73,17 @@ class FieldSpec:
 
     characteristic: int
     allow_char2: bool = field(default=False, compare=False)
+    zero: Scalar = field(init=False, repr=False, compare=False)
+    one: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.characteristic
         if p < 0:
             raise ValueError(f"characteristic must be >= 0, got {p}")
+        if p >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {p} is too large: primality is exact only below {MAX_CHARACTERISTIC}"
+            )
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
         if p == 2 and not self.allow_char2:
@@ -57,27 +91,23 @@ class FieldSpec:
                 "characteristic 2 requires the explicit override flag; "
                 "PBW questions in characteristic 2 go through the rewrite oracle"
             )
+        object.__setattr__(self, "zero", self(0))
+        object.__setattr__(self, "one", self(1))
 
-    def __call__(self, value: Union[int, Fraction, str, "Scalar"]) -> "Scalar":
-        """Coerce an int, Fraction, decimal/rational string, or Scalar."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise ValueError("scalar belongs to a different field")
-            return value
+    def __call__(self, value: Union[int, Fraction, str]) -> Scalar:
+        """The canonical image of an int, a Fraction, or a decimal/rational string."""
         if isinstance(value, str):
             return self.parse(value)
         p = self.characteristic
         if p == 0:
-            return Scalar(self, Fraction(value))
+            return Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % p == 0:
                 raise ModularObstruction(f"denominator of {value} vanishes mod {p}")
-            num = value.numerator % p
-            den = value.denominator % p
-            return Scalar(self, num * pow(den, p - 2, p) % p)
-        return Scalar(self, int(value) % p)
+            return value.numerator * pow(value.denominator, -1, p) % p
+        return int(value) % p
 
-    def parse(self, text: str) -> "Scalar":
+    def parse(self, text: str) -> Scalar:
         text = text.strip()
         if "/" in text:
             num_s, den_s = text.split("/", 1)
@@ -86,107 +116,21 @@ class FieldSpec:
             return self(Fraction(int(num_s), int(den_s)))
         return self(int(text))
 
-    def __reduce__(self):
-        # Pickle the declared fields only, not the cached zero and one below.
-        return FieldSpec, (self.characteristic, self.allow_char2)
+    def inv(self, x: Scalar) -> Scalar:
+        """1/x for a nonzero scalar x."""
+        if not x:
+            raise ZeroDivisionError("scalar inverse of zero")
+        p = self.characteristic
+        return pow(x, -1, p) if p else Fraction(x.denominator, x.numerator)
 
-    # Built on first use and kept: scalars are immutable, so one zero and one
-    # one per field serve every caller.
-    @cached_property
-    def zero(self) -> "Scalar":
-        return self(0)
-
-    @cached_property
-    def one(self) -> "Scalar":
-        return self(1)
-
-    def inverse_of_integer(self, m: int) -> "Scalar":
+    def inverse_of_integer(self, m: int) -> Scalar:
         """1/m in the field; refuses when m vanishes (the modular case)."""
         p = self.characteristic
-        if p == 0:
-            if m == 0:
-                raise ModularObstruction("cannot invert 0")
-            return Scalar(self, Fraction(1, m))
-        if m % p == 0:
+        if p == 0 and m == 0:
+            raise ModularObstruction("cannot invert 0")
+        if p and m % p == 0:
             raise ModularObstruction(f"{m} is divisible by the characteristic {p}")
-        return Scalar(self, pow(m % p, p - 2, p))
+        return self.inv(self(m))
 
     def __repr__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
-
-
-class Scalar:
-    """An immutable element of a fixed FieldSpec, always canonically reduced."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field_spec: FieldSpec, value) -> None:
-        object.__setattr__(self, "field", field_spec)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Scalar is immutable")
-
-    def _check(self, other: "Scalar") -> None:
-        if not isinstance(other, Scalar):
-            raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError("mixed-field operands")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        p = self.field.characteristic
-        v = self.value + other.value
-        return Scalar(self.field, v % p if p else v)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        p = self.field.characteristic
-        v = self.value - other.value
-        return Scalar(self.field, v % p if p else v)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        p = self.field.characteristic
-        v = self.value * other.value
-        return Scalar(self.field, v % p if p else v)
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return self * other.inverse()
-
-    def __neg__(self) -> "Scalar":
-        p = self.field.characteristic
-        return Scalar(self.field, (-self.value) % p if p else -self.value)
-
-    def inverse(self) -> "Scalar":
-        if not self:
-            raise ZeroDivisionError("scalar inverse of zero")
-        p = self.field.characteristic
-        if p == 0:
-            return Scalar(self.field, 1 / Fraction(self.value))
-        return Scalar(self.field, pow(self.value, p - 2, p))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.characteristic, self.value))
-
-    def __repr__(self) -> str:
-        return str(self)
-
-    def __str__(self) -> str:
-        """Decimal string; rationals as "num/den" in lowest terms."""
-        v = self.value
-        if isinstance(v, Fraction) and v.denominator != 1:
-            return f"{v.numerator}/{v.denominator}"
-        return str(int(v))
-

@@ -145,8 +145,8 @@ def coboundary_pair(n: int, fs: FieldSpec, seed: int, kappa_profile: str):
     table = {}
     for g in group:
         for i in range(1, n + 1):
-            moved = AlgebraElement.zero(fs)
-            for r, c in g.column(i, fs):
+            moved = AlgebraElement(fs)
+            for r, c in g.column(i):
                 moved = moved + phi[r].scale(c)
             table[(g, i)] = lam.at(g, i) + phi[i].mul_left(g) - moved.mul_right(g)
     return LambdaParam(group, fs, table), kap

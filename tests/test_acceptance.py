@@ -174,7 +174,7 @@ def test_c7_nonmodular_conversion():
         for seed in range(20):
             lam, kap = random_params(3, fs, seed=seed, profile="mu-family")
             result = convert(lam, kap)
-            lam0 = LambdaParam.zero(lam.group, fs)
+            lam0 = LambdaParam(lam.group, fs)
             if not check_pbw(lam0, result.kappa_converted).pbw:
                 ok = False
             for h in lam.group:
@@ -188,7 +188,7 @@ def test_c7_nonmodular_conversion():
     g = gamma(lam_g)
     ident = lam_g.group.identity
     for i in (1, 2, 3):
-        expected = AlgebraElement.term(fs, ident, fs(i - 2)) if i != 2 else AlgebraElement.zero(fs)
+        expected = AlgebraElement.term(fs, ident, fs(i - 2)) if i != 2 else AlgebraElement(fs)
         if g[i] != expected:
             ok = False
     report("criterion 7 (nonmodular conversion, S3, p in {0,7}, 20 seeds each)", ok)

@@ -448,3 +448,39 @@ def test_crossval_char2_exit2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["crossval", "--n", "3", "--char", "2", "--force-char2"])
     assert exc.value.code == 2
+
+
+PRIME_31_DIGITS = 10**30 + 57
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--input", "{params}"],
+        ["crossval", "--n", "3", "--char", str(PRIME_31_DIGITS), "--samples", "1"],
+        ["build", "--mu", "{mu}", "--char", str(PRIME_31_DIGITS)],
+    ],
+)
+def test_huge_characteristic_refused_at_once(capsys, tmp_path, argv):
+    """A characteristic past the exact primality bound exits 2, naming it, in well under a second."""
+    files = {"{params}": tmp_path / "params.json", "{mu}": tmp_path / "mu.json"}
+    group = {"type": "symmetric_permutation", "n": 3}
+    files["{params}"].write_text(json.dumps({"characteristic": PRIME_31_DIGITS, "n": 3, "group": group}))
+    files["{mu}"].write_text(json.dumps({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "1"}))
+    t0 = time.perf_counter()
+    code = main([str(files.get(a, a)) for a in argv])
+    assert time.perf_counter() - t0 < 1.0
+    err = assert_one_line_error(capsys, code)
+    assert str(PRIME_31_DIGITS) in err
+
+
+def test_infinite_matrix_group_over_q_refused_at_once(capsys, tmp_path):
+    """[[1,1],[0,1]] has infinite order over Q: refused by name, not closed up to the cap."""
+    path = tmp_path / "shear.json"
+    group = {"type": "matrix", "generators": [["1", "1", "0", "1"]]}
+    path.write_text(json.dumps({"characteristic": 0, "n": 2, "group": group}))
+    t0 = time.perf_counter()
+    code = main(["check", "--input", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    err = assert_one_line_error(capsys, code)
+    assert "M[[1,1],[0,1]]" in err and "infinite" in err

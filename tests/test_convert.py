@@ -21,7 +21,7 @@ from dhecke import (
 
 
 def test_gamma_of_zero(F7, S3):
-    g = gamma(LambdaParam.zero(S3, F7))
+    g = gamma(LambdaParam(S3, F7))
     assert all(v.is_zero() for v in g.values())
 
 
@@ -54,14 +54,14 @@ def test_convert_golden_rule_gives_plain_skew(F7):
     lam, kap = golden_rule(3, F7)
     result = convert(lam, kap)
     assert result.kappa_converted.is_zero()
-    assert check_pbw(LambdaParam.zero(lam.group, F7), result.kappa_converted).pbw
+    assert check_pbw(LambdaParam(lam.group, F7), result.kappa_converted).pbw
 
 
 def test_convert_identity_on_lambda_zero(F7, S3):
     # an invariant kappa with lambda = 0 converts to itself (gamma = 0)
     mu = MuParams(F7, 3, {}, (F7.zero, F7.zero), F7.one)
     _, kap = build_H_mu(mu)
-    lam0 = LambdaParam.zero(S3, F7)
+    lam0 = LambdaParam(S3, F7)
     assert check_pbw(lam0, kap).pbw
     result = convert(lam0, kap)
     assert all(v.is_zero() for v in result.gamma.values())
@@ -69,7 +69,7 @@ def test_convert_identity_on_lambda_zero(F7, S3):
 
 
 def test_convert_refuses_non_pbw(F7, S3):
-    lam = LambdaParam.zero(S3, F7)
+    lam = LambdaParam(S3, F7)
     kap = KappaParam(F7, 3, {(1, 2): AlgebraElement.term(F7, S3.identity)})
     with pytest.raises(NotPBWInput):
         convert(lam, kap)
@@ -80,7 +80,7 @@ def test_convert_random_pairs_s3(F7, Q):
         for seed in range(4):
             lam, kap = random_params(3, fs, seed=seed, profile="mu-family")
             result = convert(lam, kap)
-            lam0 = LambdaParam.zero(lam.group, fs)
+            lam0 = LambdaParam(lam.group, fs)
             assert check_pbw(lam0, result.kappa_converted).pbw
             for h in lam.group:
                 assert act_on_kappa(h, result.kappa_converted) == result.kappa_converted

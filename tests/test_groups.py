@@ -51,16 +51,16 @@ def test_act_on_vector():
     # (1 2 3) sends v1 to v2, and the identity fixes every basis vector
     fs = FieldSpec(5)
     g = Perm.from_cycles(3, (1, 2, 3))
-    assert g.column(1, fs) == ((2, fs.one),)
+    assert g.column(1) == ((2, fs.one),)
     ident = Perm.identity(3)
-    assert [ident.column(i, fs) for i in (1, 2, 3)] == [((i, fs.one),) for i in (1, 2, 3)]
+    assert [ident.column(i) for i in (1, 2, 3)] == [((i, fs.one),) for i in (1, 2, 3)]
 
 
 def test_matrix_action_example():
     # [[1,1],[0,1]] over F2 sends the second basis vector to v + w
     fs = FieldSpec(2, allow_char2=True)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
-    assert g.column(2, fs) == ((1, fs.one), (2, fs.one))
+    assert g.column(2) == ((1, fs.one), (2, fs.one))
 
 
 def test_reflection_length():
@@ -81,7 +81,7 @@ def test_perm_codim_matches_matrix_rank():
     # cycle-count formula vs rank of (M - I), over a couple of fields
     for fs in (FieldSpec(5), FieldSpec(0)):
         for g in symmetric_group(4):
-            m = MatrixElement(fs, g.matrix(fs))
+            m = MatrixElement(fs, g.matrix())
             assert g.fixed_space_codim() == m.fixed_space_codim()
 
 
@@ -187,12 +187,12 @@ perms3 = st.sampled_from(list(symmetric_group(3)))
 def test_action_is_homomorphism(g, h, i):
     """^{gh} v_i is h's column i pushed through g's columns, for perms and their matrices."""
     fs = FieldSpec(5)
-    for a, b in ((g, h), (MatrixElement(fs, g.matrix(fs)), MatrixElement(fs, h.matrix(fs)))):
+    for a, b in ((g, h), (MatrixElement(fs, g.matrix()), MatrixElement(fs, h.matrix()))):
         pushed = {}
-        for k, c in b.column(i, fs):
-            for m, x in a.column(k, fs):
+        for k, c in b.column(i):
+            for m, x in a.column(k):
                 pushed[m] = pushed.get(m, fs.zero) + c * x
-        assert (a * b).column(i, fs) == tuple(sorted((m, x) for m, x in pushed.items() if x))
+        assert (a * b).column(i) == tuple(sorted((m, x) for m, x in pushed.items() if x))
 
 
 def test_length_additivity_implies_fixed_space_intersection(S4):
@@ -205,17 +205,18 @@ def test_length_additivity_implies_fixed_space_intersection(S4):
             if g.fixed_space_codim() + h.fixed_space_codim() != gh.fixed_space_codim():
                 continue
             checked += 1
-            inter_rank_input = g.fixed_space_basis(fs) + h.fixed_space_basis(fs)
+            inter_rank_input = g.fixed_space_basis() + h.fixed_space_basis()
             # V^g cap V^h = V^{gh} iff dim(V^g) + dim(V^h) - dim(V^g + V^h) = dim(V^{gh})
             from dhecke.linalg import rank
 
-            dim_sum_space = rank(inter_rank_input)
-            dim_inter = len(g.fixed_space_basis(fs)) + len(h.fixed_space_basis(fs)) - dim_sum_space
-            assert dim_inter == len(gh.fixed_space_basis(fs))
+            dim_sum_space = rank(fs, inter_rank_input)
+            dim_inter = len(g.fixed_space_basis()) + len(h.fixed_space_basis()) - dim_sum_space
+            assert dim_inter == len(gh.fixed_space_basis())
             # and the intersection is contained in V^{gh}, hence equal
             assert same_subspace(
-                _intersect(fs, g.fixed_space_basis(fs), h.fixed_space_basis(fs)),
-                gh.fixed_space_basis(fs),
+                fs,
+                _intersect(fs, g.fixed_space_basis(), h.fixed_space_basis()),
+                gh.fixed_space_basis(),
             )
     assert checked > 24  # the additive pairs are plentiful in S4
 
@@ -236,7 +237,31 @@ def _intersect(fs, basis_a, basis_b):
         vec = [fs.zero] * n
         for j in range(len(basis_a)):
             for i in range(n):
-                vec[i] = vec[i] + coeffs[j] * basis_a[j][i]
+                vec[i] = fs(vec[i] + coeffs[j] * basis_a[j][i])
         if any(vec):
             out.append(tuple(vec))
     return out
+
+
+def test_closure_over_q_refuses_an_element_of_infinite_order():
+    """Over Q every element must satisfy g^12 = 1 on F^2; the first that does not is named.
+
+    The two reflections have order 2, but their product is a shear of
+    infinite order, so the check runs on every new element, not only on
+    the generators.
+    """
+    Q = FieldSpec(0)
+    with pytest.raises(ValueError, match=r"M\[\[1,1\],\[0,1\]\] has infinite order"):
+        enumerate_group([MatrixElement(Q, [[1, 1], [0, 1]])])
+    reflections = [MatrixElement(Q, [[-1, 0], [0, 1]]), MatrixElement(Q, [[-1, 1], [0, 1]])]
+    assert all((r * r).is_identity() for r in reflections)
+    with pytest.raises(ValueError, match="infinite order"):
+        enumerate_group(reflections)
+
+
+def test_finite_matrix_groups_over_q_still_close():
+    Q = FieldSpec(0)
+    s3 = enumerate_group([MatrixElement(Q, g.matrix()) for g in symmetric_group(3).generators])
+    assert len(s3) == 6
+    rotation = MatrixElement(Q, [[0, -1], [1, 1]])  # order 6
+    assert len(enumerate_group([rotation])) == 6
