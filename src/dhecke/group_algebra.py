@@ -111,7 +111,7 @@ class AlgebraElement:
         return not self.terms
 
     def support(self) -> list[GroupElement]:
-        return sorted(self.terms, key=lambda g: g.sort_key())
+        return sorted(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -129,6 +129,6 @@ class AlgebraElement:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        parts = [f"{c}*{g!r}" for g, c in sorted(self.terms.items(), key=lambda t: t[0].sort_key())]
+        parts = [f"{c}*{g!r}" for g, c in sorted(self.terms.items())]
         return " + ".join(parts)
 

@@ -1,10 +1,12 @@
 """Finite group elements acting linearly on F^n, plus full enumerations.
 
 Two element kinds: permutations of {1..n} (the symmetric-group
-specialization, 1-indexed one-line images) and invertible n x n matrices
-over a FieldSpec.  Composition is fixed globally as (gh)(i) = g(h(i)),
-i.e. "apply h, then g" -- a left action, the only convention consistent
-with the cocycle identity checked by the PBW machinery.
+specialization; a `Perm` is the tuple of its 1-indexed one-line images)
+and invertible n x n matrices over a FieldSpec.  Elements of one kind
+order by their own `<`.  Composition is fixed globally as
+(gh)(i) = g(h(i)), i.e. "apply h, then g" -- a left action, the only
+convention consistent with the cocycle identity checked by the PBW
+machinery.
 
 Both kinds describe their action the same way: `g.column(i)` is the
 image ^g v_i as its nonzero (index, coefficient) pairs; a permutation's
@@ -33,24 +35,24 @@ class ClosureCapExceeded(RuntimeError):
 CLOSURE_CAP = 10**6
 
 
-class Perm:
-    """A permutation of {1..n} stored as the tuple of images (g(1), ..., g(n))."""
+class Perm(tuple):
+    """A permutation of {1..n}: the tuple of its images (g(1), ..., g(n)).
 
-    __slots__ = ("images", "_hash")
+    It hashes, compares and orders as that plain tuple, and never equals a
+    MatrixElement.  Products and inverses skip the validation in __new__.
+    """
 
-    def __init__(self, images: Sequence[int]) -> None:
+    __slots__ = ()
+
+    def __new__(cls, images: Iterable[int]) -> "Perm":
         imgs = tuple(int(x) for x in images)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
-        object.__setattr__(self, "images", imgs)
-        object.__setattr__(self, "_hash", hash(imgs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Perm is immutable")
+        return tuple.__new__(cls, imgs)
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self)
 
     @staticmethod
     def identity(n: int) -> "Perm":
@@ -70,36 +72,27 @@ class Perm:
         return Perm.from_cycles(n, (i, j))
 
     def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    @staticmethod
-    def _raw(images: tuple[int, ...]) -> "Perm":
-        """Internal constructor for products of already-valid permutations."""
-        out = Perm.__new__(Perm)
-        object.__setattr__(out, "images", images)
-        object.__setattr__(out, "_hash", hash(images))
-        return out
+        return self[i - 1]
 
     def __mul__(self, other: "Perm") -> "Perm":
         if not isinstance(other, Perm):
             return NotImplemented
-        if other.n != self.n:
+        if len(other) != len(self):
             raise ValueError("mismatched permutation sizes")
-        si = self.images
-        return Perm._raw(tuple(si[o - 1] for o in other.images))
+        return tuple.__new__(Perm, [self[o - 1] for o in other])
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
+        inv = [0] * len(self)
+        for i, img in enumerate(self, start=1):
             inv[img - 1] = i
-        return Perm._raw(tuple(inv))
+        return tuple.__new__(Perm, inv)
 
     def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
+        return all(img == i for i, img in enumerate(self, start=1))
 
     def column(self, i: int) -> Column:
         """^g v_i = v_{g(i)}, as its one (index, coefficient) pair."""
-        return ((self.images[i - 1], 1),)
+        return ((self[i - 1], 1),)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles including fixed points, each starting at its minimum."""
@@ -113,7 +106,7 @@ class Perm:
             while not seen[i - 1]:
                 seen[i - 1] = True
                 cyc.append(i)
-                i = self.images[i - 1]
+                i = self[i - 1]
             out.append(tuple(cyc))
         return out
 
@@ -127,19 +120,10 @@ class Perm:
 
     def matrix(self) -> tuple[Vector, ...]:
         """Column i is the basis vector v_{g(i)}."""
-        return tuple(tuple(1 if img == r else 0 for img in self.images) for r in range(1, self.n + 1))
-
-    def sort_key(self):
-        return self.images
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple(tuple(1 if img == r else 0 for img in self) for r in range(1, self.n + 1))
 
     def __repr__(self) -> str:
-        return f"g[{','.join(map(str, self.images))}]"
+        return f"g[{','.join(map(str, self))}]"
 
 
 class MatrixElement:
@@ -216,9 +200,9 @@ class MatrixElement:
     def matrix(self) -> tuple[Vector, ...]:
         return self.rows
 
-    def sort_key(self):
+    def __lt__(self, other: "MatrixElement") -> bool:
         # Rows of equal length: the order is that of the row-major entries.
-        return self.rows
+        return self.rows < other.rows
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,15 +223,16 @@ GroupElement = Union[Perm, MatrixElement]
 
 
 class GroupTable:
-    """Immutable full enumeration of a finite group with index and inverse lookup.
+    """Immutable full enumeration of a finite group with index lookup.
 
-    Elements are sorted by a canonical key (one-line images for permutations,
-    flattened entries for matrices) so all downstream iteration is
-    deterministic.  `generators` generates the group as a monoid (every
-    element is a positive word in it); it defaults to all elements.  The
-    group's kind is worked out once, here: `field` is the matrix entries'
-    field (None for permutations), `is_permutation_group` says every element
-    is a Perm, and `is_symmetric_group` that they are all n! of them.
+    Elements are sorted by their own `<` (image tuples for permutations,
+    row-major entries for matrices), so all downstream iteration is
+    deterministic, and must be closed under `g.inverse()`.  `generators`
+    generates the group as a monoid (every element is a positive word in
+    it); it defaults to all elements.  The group's kind is worked out once,
+    here: `field` is the matrix entries' field (None for permutations),
+    `is_permutation_group` says every element is a Perm, and
+    `is_symmetric_group` that they are all n! of them.
     """
 
     def __init__(
@@ -256,9 +241,7 @@ class GroupTable:
         n: int,
         generators: Sequence[GroupElement] | None = None,
     ) -> None:
-        self.elements: tuple[GroupElement, ...] = tuple(
-            sorted(elements, key=lambda e: e.sort_key())
-        )
+        self.elements: tuple[GroupElement, ...] = tuple(sorted(elements))
         self.n = n
         self._index = {g: i for i, g in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
@@ -280,9 +263,8 @@ class GroupTable:
         self.is_symmetric_group: bool = (
             self.is_permutation_group and len(self.elements) == math.factorial(n)
         )
-        self._inverses = {g: g.inverse() for g in self.elements}
-        for g, gi in self._inverses.items():
-            if gi not in self._index:
+        for g in self.elements:
+            if g.inverse() not in self._index:
                 raise ValueError(f"enumeration not closed under inverse: {g!r}")
 
     def __len__(self) -> int:
@@ -293,9 +275,6 @@ class GroupTable:
 
     def __contains__(self, g: GroupElement) -> bool:
         return g in self._index
-
-    def inverse(self, g: GroupElement) -> GroupElement:
-        return self._inverses[g]
 
     def adjacent_transposition(self, k: int) -> Perm:
         """s_k = (k k+1) for k < n, and s_n = (n 1); indices wrap modulo n."""

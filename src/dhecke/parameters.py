@@ -58,7 +58,7 @@ class KappaParam:
         seen: set[GroupElement] = set()
         for val in self.table.values():
             seen.update(val.terms)
-        return sorted(seen, key=lambda g: g.sort_key())
+        return sorted(seen)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -249,7 +249,7 @@ def random_params(
 
 def element_to_json(g: GroupElement):
     if isinstance(g, Perm):
-        return list(g.images)
+        return list(g)
     return [str(s) for row in g.rows for s in row]
 
 
@@ -324,7 +324,7 @@ def element_from_json(data, group: GroupTable, where: str = "group element") -> 
 def algebra_element_to_json(x: AlgebraElement):
     return [
         {"g": element_to_json(g), "coeff": str(c)}
-        for g, c in sorted(x.terms.items(), key=lambda t: t[0].sort_key())
+        for g, c in sorted(x.terms.items())
     ]
 
 

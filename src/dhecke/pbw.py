@@ -209,7 +209,7 @@ def _cond3(
             for j in range(i + 1, n + 1):
                 lu, lv = lam.at(g, i), lam.at(g, j)
                 # D3 vanishes at every h outside the support of lambda(g, v_i) and lambda(g, v_j)
-                for h in sorted(lu.terms.keys() | lv.terms.keys(), key=lambda x: x.sort_key()):
+                for h in sorted(lu.terms.keys() | lv.terms.keys()):
                     cu, cv = lu.coefficient(h), lv.coefficient(h)
                     terms = ((cv, h.column(i)), (-cv, g.column(i)))
                     terms += ((-cu, h.column(j)), (cu, g.column(j)))
@@ -366,7 +366,7 @@ def diagnose_lambda(lam: LambdaParam) -> tuple[bool, list[str]]:
             problems.append(f"lambda(1, v_{i}) != 0")
 
     for g in group:
-        ginv = group.inverse(g)
+        ginv = g.inverse()
         g_elt = AlgebraElement.term(fs, g)
         ginv_elt = AlgebraElement.term(fs, ginv)
         for i in range(1, n + 1):

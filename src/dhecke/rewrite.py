@@ -90,8 +90,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .groups import GroupElement, GroupTable, MatrixElement, Perm
 from .group_algebra import AlgebraElement
@@ -107,19 +106,17 @@ class StepBudgetExceeded(RuntimeError):
     """Reduction ran past the step budget (termination bug guard)."""
 
 
-class NotConfluent(RuntimeError):
-    """An operation that requires a confluent system was called without one."""
-
-
 DEFAULT_STEP_BUDGET = 10**7
 # Longest word parse_word_sum will expand a power like "v1^k" into; a power
 # past it is refused before any memory is spent on its tokens.
 MAX_WORD_TOKENS = 10**6
 
 
-@dataclass(frozen=True)
-class NormalMonomial:
-    """A PBW monomial v_1^{e_1}...v_n^{e_n} g."""
+class NormalMonomial(NamedTuple):
+    """A PBW monomial v_1^{e_1}...v_n^{e_n} g.
+
+    Its tuple order is not the print order: printers sort by `sort_key()`.
+    """
 
     exponents: tuple[int, ...]
     g: GroupElement
@@ -130,7 +127,7 @@ class NormalMonomial:
 
     def sort_key(self):
         """Descending degree, then exponents, then the group part."""
-        return (-self.degree, self.exponents, self.g.sort_key())
+        return (-self.degree, self.exponents, self.g)
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,6 @@ class RewriteSystem:
         self.field: FieldSpec = lam.field
         self.n = lam.n
         self.step_budget = step_budget
-        self._confluent: Optional[bool] = None
         # R2's right-hand side per (g, i) as (middle of the word, coefficient) pairs, built on
         # first use: a reduction applies R2 to the same few pairs over and over.
         self._r2: dict[tuple[GroupElement, int], list[tuple[Word, Scalar]]] = {}
@@ -313,21 +309,8 @@ class RewriteSystem:
                 continue
             if family != "var-var-var" and not exhaustive:
                 witness = next(w for w in (self._resolve(*fw) for fw in self._family(family, self.group)) if w)
-            self._confluent = False
             return False, witness
-        self._confluent = True
         return True, None
-
-    def is_confluent(self) -> bool:
-        if self._confluent is None:
-            self.check_confluence()
-        return bool(self._confluent)
-
-    def filtered_dimension(self, m: int) -> int:
-        """Number of PBW monomials of v-degree <= m: |G| * sum C(n+k-1, k)."""
-        if not self.is_confluent():
-            raise NotConfluent("filtered dimension is only meaningful for confluent systems")
-        return len(self.group) * sum(comb(self.n + k - 1, k) for k in range(m + 1))
 
 
 # -- sums, parsing, printing ---------------------------------------------------

@@ -207,6 +207,22 @@ def test_convert_certificate(capsys, tmp_path):
     assert all(not e["value"] for e in converted["lambda"])
 
 
+def test_convert_degree_does_no_work(capsys, tmp_path):
+    """The certificate at degree 10^6 is the degree-3 one apart from "degree", and is as fast."""
+    certs = {}
+    for degree in ("3", "1000000"):
+        out = tmp_path / f"converted_{degree}.json"
+        started = time.perf_counter()
+        argv = ["convert", "--input", str(FIXTURES / "golden_rule.json"), "--degree", degree, "--out", str(out)]
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert time.perf_counter() - started < 2
+        certs[degree] = json.loads((tmp_path / f"converted_{degree}.json.cert.json").read_text())
+    assert certs["1000000"].pop("degree") == 1000000
+    assert certs["3"].pop("degree") == 3
+    assert certs["1000000"] == certs["3"]
+
+
 def test_convert_modular_exit2(capsys, tmp_path):
     from dhecke import FieldSpec, golden_rule, params_to_json
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from dhecke import (
     FieldSpec,
     MatrixElement,
+    NormalMonomial,
     Perm,
     enumerate_group,
+    format_normal_form,
     params_from_json,
     symmetric_group,
 )
@@ -24,7 +26,7 @@ def test_compose_convention():
     # (1 2) after (2 3): i=1 -> 1 -> 2, i=2 -> 3, i=3 -> 2 -> 1
     g = Perm.from_cycles(3, (1, 2))
     h = Perm.from_cycles(3, (2, 3))
-    assert (g * h).images == (2, 3, 1)
+    assert g * h == (2, 3, 1)
     assert g * h == Perm.from_cycles(3, (1, 2, 3))
 
 
@@ -160,7 +162,7 @@ def test_singular_matrix_rejected():
 
 def test_group_table_lookup(S3):
     for g in S3:
-        assert S3.inverse(g) * g == S3.identity
+        assert g.inverse() * g == S3.identity
         for h in S3:
             assert g * h in S3
 
@@ -175,8 +177,38 @@ def test_adjacent_transpositions(S3):
 
 def test_cycle_notation_parse():
     # "(1 2 3)" means 1->2->3->1, i.e. images [2, 3, 1]
-    assert Perm.from_cycles(3, (1, 2, 3)).images == (2, 3, 1)
-    assert Perm.from_cycles(4, (2, 4)).images == (1, 4, 3, 2)
+    assert Perm.from_cycles(3, (1, 2, 3)) == (2, 3, 1)
+    assert Perm.from_cycles(4, (2, 4)) == (1, 4, 3, 2)
+
+
+def test_group_elements_have_value_semantics(S3, S4):
+    """A Perm is its image tuple, matrices order row-major, and the two kinds never meet."""
+    g = Perm([3, 1, 4, 2])
+    assert g == (3, 1, 4, 2) and hash(g) == hash((3, 1, 4, 2))
+    assert [tuple(x) for x in sorted(S4)] == sorted(permutations(range(1, 5)))
+    assert S4.elements == tuple(sorted(S4))
+
+    fs = FieldSpec(5)
+    mats = enumerate_group([MatrixElement(fs, s.matrix()) for s in S3.generators])
+    row_major = [tuple(x for row in m.rows for x in row) for m in sorted(reversed(mats.elements))]
+    assert row_major == sorted(row_major) and len(row_major) == 6
+    assert [tuple(x for row in m.rows for x in row) for m in mats] == row_major
+
+    s = Perm.from_cycles(3, (1, 2))
+    m = MatrixElement(fs, s.matrix())
+    assert s != m and m != s
+    assert m in mats and s not in mats
+    assert s in S3 and m not in S3
+
+    with pytest.raises(AttributeError):
+        g.images = (1, 2, 3, 4)
+
+    # NormalMonomials print by sort_key (descending degree first), not in tuple order.
+    ident = S3.identity
+    low, high = NormalMonomial((0, 0, 0), ident), NormalMonomial((0, 1, 0), ident)
+    assert sorted([high, low]) == [low, high]
+    assert sorted([low, high], key=NormalMonomial.sort_key) == [high, low]
+    assert format_normal_form({low: 1, high: 1}) == "v2·g[1,2,3] + g[1,2,3]"
 
 
 perms3 = st.sampled_from(list(symmetric_group(3)))

@@ -4,6 +4,8 @@ import importlib.util
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhecke import (
     AlgebraElement,
@@ -23,8 +25,9 @@ from dhecke import (
     symmetric_group,
 )
 from dhecke.classify import _read_betas
+from dhecke.groups import ClosureCapExceeded
 from dhecke.linalg import column
-from dhecke.scalars import CharTwoUnsupported
+from dhecke.scalars import CharTwoUnsupported, ModularObstruction
 
 from conftest import FIXTURES, build_char2_matrix_pair, load_fixture
 
@@ -279,3 +282,61 @@ def test_absent_lambda_entries_read_as_zero(F5):
     lam, kap = params_from_json(data)
     assert lam.is_zero() and kap.is_zero()
     assert lam.at(group.identity, 1).is_zero()
+
+
+# JSON values for the fuzz below.  Integers stay small, digit strings short
+# and matrix groups 2 x 2, so any group that does parse is small.
+_FIELDS = ["characteristic", "n", "group", "type", "generators", "lambda", "kappa", "g", "i", "j", "value", "coeff"]
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 3),
+    st.text(alphabet="012/-x", max_size=2),
+    st.sampled_from(["symmetric_permutation", "matrix"]),
+)
+_json = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_FIELDS), inner, max_size=4),
+    max_leaves=12,
+)
+_coeffs = st.sampled_from([0, 1, 2, -3, "4", "1/2", "-2/3", "x", None, 1.5])
+
+
+@st.composite
+def _param_files(draw):
+    """A parameter file that is mostly well formed, with up to two fields broken or missing."""
+    n = draw(st.integers(1, 3))
+    if n == 3 or draw(st.booleans()):
+        group = {"type": "symmetric_permutation", "n": n}
+        elements = st.permutations(range(1, n + 1)).map(list)
+    else:
+        entries = st.lists(_coeffs, min_size=n * n, max_size=n * n)
+        group = {"type": "matrix", "generators": draw(st.lists(entries, min_size=1, max_size=2))}
+        elements = entries
+    values = st.lists(st.fixed_dictionaries({"g": elements, "coeff": _coeffs}), max_size=2)
+    indices = st.integers(0, n + 1)
+    data = {
+        "characteristic": draw(st.sampled_from([0, 2, 3, 5, "5"])),
+        "n": n,
+        "group": group,
+        "lambda": draw(st.lists(st.fixed_dictionaries({"g": elements, "i": indices, "value": values}), max_size=3)),
+        "kappa": draw(st.lists(st.fixed_dictionaries({"i": indices, "j": indices, "value": values}), max_size=3)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(_json)
+    return data
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_param_files() | _json)
+def test_params_from_json_fuzz_returns_or_raises_input_errors(data):
+    """Any JSON value either parses or raises an error the CLI reports with exit 2."""
+    try:
+        lam, kap = params_from_json(data)
+    except (ValueError, ModularObstruction, ClosureCapExceeded):
+        return
+    assert isinstance(lam, LambdaParam) and isinstance(kap, KappaParam)
+    assert lam.n == kap.n == int(data["n"])

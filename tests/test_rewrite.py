@@ -23,7 +23,7 @@ from dhecke import (
     parse_word_sum,
     symmetric_group,
 )
-from dhecke.rewrite import MAX_WORD_TOKENS, NotConfluent, StepBudgetExceeded, ranking
+from dhecke.rewrite import MAX_WORD_TOKENS, StepBudgetExceeded, ranking
 
 from conftest import build_char2_matrix_pair, load_fixture, sweep_grid, unit_block_mu
 
@@ -99,29 +99,6 @@ def test_confluence_failure_with_witness(F5, S3):
         diff[mono] = diff.get(mono, F5.zero) - c
     diff = {m: c for m, c in diff.items() if c}
     assert diff == dict(wit.difference)
-
-
-def test_filtered_dimension(unit_block_n3):
-    rs = RewriteSystem(*unit_block_n3)
-    assert rs.check_confluence()[0]
-    assert rs.filtered_dimension(0) == 6
-    assert rs.filtered_dimension(2) == 60
-
-
-def test_filtered_dimension_small_group():
-    lam, kap = build_char2_matrix_pair()
-    rs = RewriteSystem(lam, kap)
-    assert rs.check_confluence()[0]
-    # n=2, |G|=2: degree <= 3 gives 2 * (1 + 2 + 3 + 4) = 20
-    assert rs.filtered_dimension(3) == 20
-
-
-def test_filtered_dimension_requires_confluence(F5, S3):
-    lam = LambdaParam(S3, F5)
-    kap = KappaParam(F5, 3, {(1, 2): AlgebraElement.term(F5, S3.identity)})
-    rs = RewriteSystem(lam, kap)
-    with pytest.raises(NotConfluent):
-        rs.filtered_dimension(2)
 
 
 def test_ranking_decreases_per_rule_family(unit_block_n3):
