@@ -131,7 +131,10 @@ def cmd_normal_form(args) -> int:
     lam, kappa = _load_params(args.input)
     x = parse_word_sum(args.word, lam.field, lam.n, lam.group)
     rs = RewriteSystem(lam, kappa, step_budget=_step_budget())
-    nf = rs.normal_form(x)
+    try:
+        nf = rs.normal_form(x)
+    except StepBudgetExceeded as exc:
+        raise StepBudgetExceeded(f"{exc} while reducing --word {args.word!r}") from None
     rendered = format_normal_form(nf)
     if args.out:
         _write_json(

@@ -92,6 +92,24 @@ def verify_isomorphism(
     (iii) "filtered_dimensions": the converted pair defines a confluent
          system, so its filtered dimensions equal the source's at every degree.
     m does no work: it is recorded as `iso_verified_to_degree` when all hold.
+
+    The source system is confluent (checked first), so its normal form is
+    zero exactly on the elements that are zero in the source algebra H.
+    The group relations (ii) are checked only for g in the table's
+    `generators` S.  Put, for v in V,
+
+        R(g, v) = g f(v) - f(^g v) g        (in H),
+
+    linear in v.  R(1, v) = f(v) - f(v) = 0.  With gh = g h in H (R1) and
+    ^g ^h v = ^{gh} v,
+
+        R(s h, v) = s (h f(v) - f(^h v) h) + (s f(^h v) - f(^s ^h v) s) h
+                  = s R(h, v) + R(s, ^h v) h.
+
+    Every element of a finite group is a positive word in S, so induct on
+    the word length of g = s h: if R(s, .) = 0 on the basis for s in S,
+    then R(g, .) = 0 for every g, and (ii) holds on G exactly when it holds
+    on S.
     """
     fs = lam.field
     n = lam.n
@@ -113,7 +131,7 @@ def verify_isomorphism(
             if rs.normal_form(rel):
                 checks["commutator_relations"] = False
 
-    for g_elt in lam.group:
+    for g_elt in lam.group.generators:
         g_sum: NCSum = {(g_elt,): fs.one}
         for i in range(1, n + 1):
             lhs = nc_mul(fs, g_sum, f_images[i])

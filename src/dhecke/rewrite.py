@@ -16,6 +16,26 @@ group-token count) lexicographically -- R2's main term may raise the
 inversion count, which is why the disorder count outranks it.  The
 correction terms of R2/R3 drop the v-degree outright.
 
+Reduction order: `normal_form` works one v-degree layer at a time, highest
+first.  R1 and the main terms of R2 and R3 keep the v-degree; R2's lambda
+terms lower it by 1 and R3's kappa terms by 2.  So no rule raises it, and
+once the highest waiting layer is taken, every word that will ever reach
+that degree is already in it or comes from a word in it.  Each layer is a
+dict from words to coefficients, emptied last in first out (popitem):
+every term a rule makes is added into the dict of its degree, so equal
+words from different reduction paths are summed before they are reduced.
+A term of degree 0 is a pure group word, and R1 multiplies it out at once;
+it still counts its len - 1 steps.
+
+This changes no result, even when the system is not confluent.  Under a
+fixed strategy the rule applied to a word depends on that word alone, so
+the full reduction N(w) of a word is a function of w, and the reduction of
+sum c_w w is sum c_w N(w) in whatever order the terms are taken.  Summing
+c w + c' w into (c + c') w before reducing is linearity of that sum.  The
+same dict comes out, so overlap witnesses and printed bytes are unchanged;
+only the work drops, from the number of reduction paths towards the number
+of distinct words per layer.
+
 Confluence of all overlap ambiguities is, by the diamond lemma (Bergman,
 "The diamond lemma for ring theory", Adv. Math. 29, 1978), exactly the PBW
 property; a failed overlap is a verdict, never repaired.
@@ -103,7 +123,10 @@ NCSum = dict[Word, Scalar]
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Reduction ran past the step budget (termination bug guard)."""
+    """Reduction ran past the step budget (termination bug guard).
+
+    check_confluence names the overlap word in the message.
+    """
 
 
 DEFAULT_STEP_BUDGET = 10**7
@@ -198,22 +221,27 @@ class RewriteSystem:
                 return pos  # R3
         return None
 
-    def _apply_rule(self, word: Word, pos: int) -> list[tuple[Word, Scalar]]:
+    def _apply_rule(self, word: Word, pos: int) -> list[tuple[Word, Scalar, int]]:
+        """The rule at pos as (word, coefficient, v-degree drop) terms.
+
+        The drop is 0 for R1 and the main terms of R2 and R3, 1 for R2's
+        lambda terms and 2 for R3's kappa terms.
+        """
         pre, post = word[:pos], word[pos + 2 :]
         a, b = word[pos], word[pos + 1]
         if not _is_var(a) and not _is_var(b):
-            return [(pre + (a * b,) + post, 1)]
+            return [(pre + (a * b,) + post, 1, 0)]
         if not _is_var(a):
             rhs = self._r2.get((a, b))
             if rhs is None:
                 g, i = a, b
-                rhs = self._r2[(g, i)] = [((r, g), c) for r, c in g.column(i)] + [
-                    ((h,), c) for h, c in self.lam.at(g, i).terms.items()
+                rhs = self._r2[(g, i)] = [((r, g), c, 0) for r, c in g.column(i)] + [
+                    ((h,), c, 1) for h, c in self.lam.at(g, i).terms.items()
                 ]
-            return [(pre + mid + post, c) for mid, c in rhs]
+            return [(pre + mid + post, c, drop) for mid, c, drop in rhs]
         j, i = a, b
         kappa_terms = self.kappa.at(i, j).terms.items()
-        return [(pre + (i, j) + post, 1)] + [(pre + (h,) + post, -c) for h, c in kappa_terms]
+        return [(pre + (i, j) + post, 1, 0)] + [(pre + (h,) + post, -c, 2) for h, c in kappa_terms]
 
     # -- reduction -------------------------------------------------------------
 
@@ -223,31 +251,62 @@ class RewriteSystem:
         """Fully reduce a noncommutative sum to PBW monomials, with canonical coefficients.
 
         The input coefficients need not be canonical: every product and sum is reduced mod p.
+        Words are reduced one v-degree layer at a time, highest first, and
+        equal words of a layer are summed before they are reduced (see the
+        module docstring).  StepBudgetExceeded is raised once more than
+        `step_budget` rules have been applied.
         """
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
         p = self.field.characteristic
+        budget = self.step_budget
+        group_only = (0,) * self.n
         items = x.items() if isinstance(x, dict) else x
-        stack: list[tuple[Word, Scalar]] = [(w, c) for w, c in items if c]
         out: dict[NormalMonomial, Scalar] = {}
+        # layers[d] sums the words of v-degree d > 0 that wait to be reduced.
+        layers: dict[int, NCSum] = {}
         steps = 0
-        while stack:
-            word, coeff = stack.pop()
-            pos = self._find_redex(word, strategy)
-            if pos is None:
-                mono = self._canonical(word)
-                total = out.get(mono, 0) + coeff
-                out[mono] = total % p if p else total
-                continue
-            steps += 1
-            if steps > self.step_budget:
-                raise StepBudgetExceeded(f"exceeded {self.step_budget} reduction steps")
-            for new_word, factor in self._apply_rule(word, pos):
-                c = coeff * factor
-                if p:
-                    c %= p
-                if c:
-                    stack.append((new_word, c))
+
+        def put(word: Word, c: Scalar, degree: int) -> None:
+            nonlocal steps
+            if degree:
+                layer = layers.setdefault(degree, {})
+                total = layer.get(word, 0) + c
+                layer[word] = total % p if p else total
+                return
+            # A pure group word: R1 multiplies it out, one step per product.
+            g = word[0] if word else self.group.identity
+            for h in word[1:]:
+                g = g * h
+            steps += max(len(word) - 1, 0)
+            if steps > budget:
+                raise StepBudgetExceeded(f"exceeded {budget} reduction steps")
+            mono = NormalMonomial(group_only, g)
+            total = out.get(mono, 0) + c
+            out[mono] = total % p if p else total
+
+        for w, c in items:
+            if c:
+                put(w, c, len([t for t in w if _is_var(t)]))
+        while layers:
+            degree = max(layers)
+            layer = layers[degree]
+            while layer:
+                word, coeff = layer.popitem()
+                if not coeff:
+                    continue
+                pos = self._find_redex(word, strategy)
+                if pos is None:
+                    mono = self._canonical(word)
+                    total = out.get(mono, 0) + coeff
+                    out[mono] = total % p if p else total
+                    continue
+                steps += 1
+                if steps > budget:
+                    raise StepBudgetExceeded(f"exceeded {budget} reduction steps")
+                for new_word, factor, drop in self._apply_rule(word, pos):
+                    put(new_word, coeff * factor, degree - drop)
+            del layers[degree]
         return {mono: c for mono, c in out.items() if c}
 
     def _canonical(self, word: Word) -> NormalMonomial:
@@ -288,8 +347,11 @@ class RewriteSystem:
 
     def _resolve(self, family: str, word: Word) -> Optional[OverlapWitness]:
         """Reduce both parses of an overlap; their difference if they disagree."""
-        left = self.normal_form(self._apply_rule(word, 0))
-        right = self.normal_form(self._apply_rule(word, 1))
+        try:
+            left = self.normal_form((w, c) for w, c, _ in self._apply_rule(word, 0))
+            right = self.normal_form((w, c) for w, c, _ in self._apply_rule(word, 1))
+        except StepBudgetExceeded as exc:
+            raise StepBudgetExceeded(f"{exc} while resolving the {family} overlap {format_word(word)}") from None
         if left == right:
             return None
         diff = nc_sub(self.field, left, right)
@@ -430,6 +492,11 @@ def _group_token(tok: str, field_spec: FieldSpec, n: int, group: Optional[GroupT
     if group is not None and g not in group:
         raise ValueError(f"group token {tok} is not in the group")
     return g
+
+
+def format_word(word: Word) -> str:
+    """A word in the token syntax of parse_word_sum, e.g. "g[2,1,3] v2 v1"."""
+    return " ".join(f"v{t}" if _is_var(t) else repr(t) for t in word)
 
 
 def normal_form_to_json(nf: dict[NormalMonomial, Scalar]) -> list[dict]:

@@ -298,6 +298,16 @@ def test_step_budget_env(capsys, monkeypatch):
         assert "DHA_STEP_BUDGET" in err and repr(raw) in err
 
 
+def test_step_budget_message_names_the_input(capsys, monkeypatch):
+    monkeypatch.setenv("DHA_STEP_BUDGET", "1")
+    code = main(["normal-form", "--input", str(FIXTURES / "example_1_1_n3.json"), "--word", "v3 v2\nv1"])
+    err = assert_one_line_error(capsys, code)
+    assert err.startswith("step budget exceeded:") and "--word 'v3 v2\\nv1'" in err
+    code = main(["check", "--input", str(FIXTURES / "example_1_1_n3.json"), "--method", "confluence"])
+    err = assert_one_line_error(capsys, code)
+    assert "while resolving the group-group-var overlap g[" in err
+
+
 def assert_one_line_error(capsys, code: int) -> str:
     err = capsys.readouterr().err
     assert code == 2

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from dhecke import (
@@ -18,6 +20,7 @@ from dhecke import (
     random_params,
     verify_isomorphism,
 )
+from dhecke.rewrite import RewriteSystem, from_algebra_element, nc_mul, nc_sub
 
 
 def test_gamma_of_zero(F7, S3):
@@ -116,3 +119,39 @@ def test_convert_modular_refusal(F3):
     lam, kap = golden_rule(3, F3)
     with pytest.raises(ModularObstruction):
         convert(lam, kap)
+
+
+def group_relations_over_all_of_g(lam, kap, result) -> bool:
+    """Check (ii) of verify_isomorphism for every g in G, not only the generators."""
+    fs, rs = lam.field, RewriteSystem(lam, kap)
+    f = {i: {(i,): fs.one, **from_algebra_element(result.gamma[i])} for i in range(1, lam.n + 1)}
+    for g in lam.group:
+        for i in range(1, lam.n + 1):
+            f_gv = {}
+            for k, a in g.column(i):
+                for w, c in f[k].items():
+                    f_gv[w] = fs(f_gv.get(w, 0) + a * c)
+            if rs.normal_form(nc_sub(fs, nc_mul(fs, {(g,): fs.one}, f[i]), nc_mul(fs, f_gv, {(g,): fs.one}))):
+                return False
+    return True
+
+
+def test_group_relations_on_generators_match_all_of_g(F7, Q):
+    """Seeded corruptions of gamma: the generator sweep of (ii) agrees with the sweep over G."""
+    rng = random.Random("group-relations")
+    seen = set()
+    for fs in (F7, Q):
+        for seed in range(3):
+            lam, kap = random_params(3, fs, seed=seed, profile="mu-family")
+            assert len(lam.group.generators) < len(lam.group)
+            for trial in range(4):
+                result = convert(lam, kap)
+                if trial:
+                    i = rng.randint(1, 3)
+                    h = rng.choice(list(lam.group))
+                    result.gamma[i] = result.gamma[i] + AlgebraElement.term(fs, h, fs(rng.choice((1, 2))))
+                verify_isomorphism(lam, kap, result)
+                full = group_relations_over_all_of_g(lam, kap, result)
+                assert result.checks["group_relations"] is full, (fs, seed, trial)
+                seen.add(full)
+    assert seen == {True, False}

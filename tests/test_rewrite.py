@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 from collections import Counter
 from math import comb
@@ -21,9 +22,10 @@ from dhecke import (
     golden_rule,
     params_from_json,
     parse_word_sum,
+    random_params,
     symmetric_group,
 )
-from dhecke.rewrite import MAX_WORD_TOKENS, StepBudgetExceeded, ranking
+from dhecke.rewrite import MAX_WORD_TOKENS, StepBudgetExceeded, format_word, ranking
 
 from conftest import build_char2_matrix_pair, load_fixture, sweep_grid, unit_block_mu
 
@@ -91,8 +93,8 @@ def test_confluence_failure_with_witness(F5, S3):
     # the two parses differ by a pure group-algebra term
     assert all(m.degree == 0 for m, _ in wit.difference)
     # re-reduce both parses of the witness word and reproduce the difference
-    left = rs.normal_form(rs._apply_rule(wit.word, 0))
-    right = rs.normal_form(rs._apply_rule(wit.word, 1))
+    left = rs.normal_form((w, c) for w, c, _ in rs._apply_rule(wit.word, 0))
+    right = rs.normal_form((w, c) for w, c, _ in rs._apply_rule(wit.word, 1))
     assert left != right
     diff = dict(left)
     for mono, c in right.items():
@@ -120,7 +122,7 @@ def test_ranking_decreases_per_rule_family(unit_block_n3):
         pos = rs._find_redex(word, "leftmost")
         assert pos is not None
         before = ranking(word)
-        for new_word, _ in rs._apply_rule(word, pos):
+        for new_word, _, _ in rs._apply_rule(word, pos):
             assert ranking(new_word) < before, (word, new_word)
 
 
@@ -132,7 +134,7 @@ def test_r2_can_raise_inversions_but_still_ranks_down(F5):
     word = (Perm.from_cycles(3, (1, 3)), 1, 2)
     before = ranking(word)
     results = rs._apply_rule(word, 0)
-    main = [w for w, _ in results if len(w) == 3][0]
+    main = [w for w, _, drop in results if drop == 0][0]
     assert main[0] == 3  # image of v1 under (1 3)
     b_deg, b_dis, b_inv, _ = before
     m_deg, m_dis, m_inv, _ = ranking(main)
@@ -188,6 +190,95 @@ def test_step_budget_guard(unit_block_n3, F5):
     rs = RewriteSystem(lam, kap, step_budget=2)
     with pytest.raises(StepBudgetExceeded):
         rs.normal_form({(3, 2, 1, Perm.from_cycles(3, (1, 2))): F5.one})
+
+
+def test_step_budget_counts_group_products(F5, S3):
+    """A pure group word is multiplied out at once, but each product still counts."""
+    rs = RewriteSystem(LambdaParam(S3, F5), KappaParam(F5, 3), step_budget=1)
+    g = Perm.from_cycles(3, (1, 2, 3))
+    with pytest.raises(StepBudgetExceeded):
+        rs.normal_form({(g, g, g): F5.one})
+
+
+def test_step_budget_names_the_overlap(unit_block_n3):
+    rs = RewriteSystem(*unit_block_n3, step_budget=1)
+    with pytest.raises(StepBudgetExceeded, match=r"while resolving the group-group-var overlap g\[") as exc:
+        rs.check_confluence()
+    word = str(exc.value).rsplit("overlap ", 1)[1]
+    assert len(next(iter(parse_word_sum(word, rs.field, 3, rs.group)))) == 3
+
+
+def test_format_word_reparses(F5, S3):
+    w = (Perm.from_cycles(3, (1, 2)), 3, 1, Perm.identity(3))
+    assert format_word(w) == "g[2,1,3] v3 v1 g[1,2,3]"
+    assert parse_word_sum(format_word(w), F5, 3, S3) == {w: F5.one}
+
+
+def unmerged_normal_form(rs, x, strategy):
+    """Reference reducer: every stack entry on its own, equal words never summed."""
+    fs = rs.field
+    stack = list(x.items())
+    out = {}
+    while stack:
+        word, coeff = stack.pop()
+        pos = rs._find_redex(word, strategy)
+        if pos is None:
+            mono = rs._canonical(word)
+            out[mono] = fs(out.get(mono, 0) + coeff)
+            continue
+        for new_word, factor, _ in rs._apply_rule(word, pos):
+            c = fs(coeff * factor)
+            if c:
+                stack.append((new_word, c))
+    return {mono: c for mono, c in out.items() if c}
+
+
+EQUIVALENCE_PAIRS = {
+    "example_1_1_n3": lambda: params_from_json(load_fixture("example_1_1_n3.json")),
+    "example_4_3": lambda: params_from_json(load_fixture("example_4_3.json")),
+    "Q mu-family": lambda: random_params(3, FieldSpec(0), seed=3, profile="mu-family"),
+    "F5 perturbed-mu": lambda: random_params(3, FieldSpec(5), seed=0, profile="perturbed-mu"),
+}
+
+
+@pytest.mark.parametrize("label", EQUIVALENCE_PAIRS)
+def test_layered_normal_form_matches_unmerged_reference(label):
+    """Summing equal words per v-degree layer changes no normal form, confluent or not."""
+    lam, kap = EQUIVALENCE_PAIRS[label]()
+    rs = RewriteSystem(lam, kap)
+    fs, group = rs.field, list(rs.group)
+    rng = random.Random(f"layered|{label}")
+    sums = []
+    for _ in range(12):
+        x = {}
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(
+                rng.randint(1, rs.n) if rng.random() < 0.7 else rng.choice(group)
+                for _ in range(rng.randint(0, 7))
+            )
+            x[word] = fs(x.get(word, 0) + rng.choice((1, 2, -1)))
+        sums.append(x)
+    ok, wit = rs.check_confluence()
+    assert ok == (label != "F5 perturbed-mu")
+    if not ok:
+        sums.append({wit.word: fs.one})
+    for x in sums:
+        for strategy in ("leftmost", "rightmost"):
+            assert rs.normal_form(x, strategy) == unmerged_normal_form(rs, x, strategy), (x, strategy)
+    if not ok:
+        # not confluent: the two strategies disagree on the witness word
+        assert rs.normal_form({wit.word: fs.one}, "leftmost") != rs.normal_form({wit.word: fs.one}, "rightmost")
+
+
+def test_layered_normal_form_bounds_deep_reduction():
+    """v3^4 v2^4 v1^4 on example_1_1_n3 took 16-58 s unmerged on a 2-CPU host; summed
+    per layer it needs fewer than 200,000 steps under either strategy."""
+    lam, kap = params_from_json(load_fixture("example_1_1_n3.json"))
+    rs = RewriteSystem(lam, kap, step_budget=200_000)
+    x = parse_word_sum("v3^4 v2^4 v1^4", rs.field, rs.n, rs.group)
+    left = rs.normal_form(x, "leftmost")
+    assert left == rs.normal_form(x, "rightmost")
+    assert len(left) == 437
 
 
 def test_parse_word_sum_round_trip(F5):
