@@ -18,8 +18,6 @@ to |G| sum_{k <= m} C(n+k-1, k), as for the source, so m is only recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .group_algebra import AlgebraElement
 from .parameters import KappaParam, LambdaParam
 from .pbw import check_pbw
@@ -31,12 +29,14 @@ class NotPBWInput(ValueError):
     """Conversion is only defined on PBW pairs."""
 
 
-@dataclass
 class ConversionResult:
-    gamma: dict[int, AlgebraElement]
-    kappa_converted: KappaParam
-    iso_verified_to_degree: int = 0
-    checks: dict[str, bool] = field(default_factory=dict)
+    """The averaging map and converted kappa; `verify_isomorphism` fills in the rest."""
+
+    def __init__(self, gamma: dict[int, AlgebraElement], kappa_converted: KappaParam) -> None:
+        self.gamma = gamma
+        self.kappa_converted = kappa_converted
+        self.iso_verified_to_degree = 0
+        self.checks: dict[str, bool] = {}
 
 
 def gamma(lam: LambdaParam) -> dict[int, AlgebraElement]:

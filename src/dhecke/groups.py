@@ -243,14 +243,15 @@ class GroupTable:
     ) -> None:
         self.elements: tuple[GroupElement, ...] = tuple(sorted(elements))
         self.n = n
-        self._index = {g: i for i, g in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+        # Each element keyed by itself, so that `lookup` returns the table's own object.
+        self._members = {g: g for g in self.elements}
+        if len(self._members) != len(self.elements):
             raise ValueError("duplicate elements")
         self.generators: tuple[GroupElement, ...] = (
             self.elements if generators is None else tuple(generators)
         )
         for s in self.generators:
-            if s not in self._index:
+            if s not in self._members:
                 raise ValueError(f"generator {s!r} is not in the enumeration")
         ident = [g for g in self.elements if g.is_identity()]
         if not ident:
@@ -264,7 +265,7 @@ class GroupTable:
             self.is_permutation_group and len(self.elements) == math.factorial(n)
         )
         for g in self.elements:
-            if g.inverse() not in self._index:
+            if g.inverse() not in self._members:
                 raise ValueError(f"enumeration not closed under inverse: {g!r}")
 
     def __len__(self) -> int:
@@ -274,7 +275,18 @@ class GroupTable:
         return iter(self.elements)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self._index
+        return g in self._members
+
+    def lookup(self, data) -> GroupElement | None:
+        """The table's own permutation whose one-line images are `data`, or None.
+
+        Only a list of plain ints (not bools) in a permutation group is looked
+        up; any other value gives None, and so does a list naming no element.
+        """
+        # Every entry's type is int itself: JSON true, a bool, must not pass for 1.
+        if type(data) is list and self.is_permutation_group and set(map(type, data)) == {int}:
+            return self._members.get(tuple(data))
+        return None
 
     def adjacent_transposition(self, k: int) -> Perm:
         """s_k = (k k+1) for k < n, and s_n = (n 1); indices wrap modulo n."""

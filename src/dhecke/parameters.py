@@ -310,6 +310,10 @@ def _matrix_from_json(flat, fs: FieldSpec, n: int, where: str) -> MatrixElement:
 
 
 def element_from_json(data, group: GroupTable, where: str = "group element") -> GroupElement:
+    """The element `data` names; a list of plain ints is first looked up in the table."""
+    g = group.lookup(data)
+    if g is not None:
+        return g
     if not isinstance(data, list):
         raise ValueError(f"{where} must be a list of entries, got {data!r}")
     if group.is_permutation_group:
@@ -329,15 +333,28 @@ def algebra_element_to_json(x: AlgebraElement):
 
 
 def algebra_element_from_json(
-    data, group: GroupTable, fs: FieldSpec, where: str = "group-algebra value"
+    data, group: GroupTable, fs: FieldSpec, scalars: dict, where: str = "group-algebra value"
 ) -> AlgebraElement:
+    """An element of FG written as its {"g", "coeff"} terms.
+
+    `scalars` maps the coefficient strings already parsed to their values;
+    one dict serves all the calls for a file.  A term whose string
+    is known and whose g the table looks up is taken at once; any other
+    term is validated, and only then are the strings naming it built.
+    """
     if not isinstance(data, list):
         raise ValueError(f"{where} must be a list of terms, got {type(data).__name__}")
     pairs = []
     for k, t in enumerate(data):
-        term = f"{where} term {k}"
-        coeff = _scalar_value(_field(t, "coeff", term), fs, f"{term} field 'coeff'")
-        g = element_from_json(_field(t, "g", term), group, f"{term} field 'g'")
+        raw = t.get("coeff") if type(t) is dict else None
+        coeff = scalars.get(raw) if type(raw) is str else None
+        g = group.lookup(t.get("g")) if coeff is not None else None
+        if g is None:
+            term = f"{where} term {k}"
+            coeff = _scalar_value(_field(t, "coeff", term), fs, f"{term} field 'coeff'")
+            g = element_from_json(_field(t, "g", term), group, f"{term} field 'g'")
+            if type(raw) is str:
+                scalars[raw] = coeff
         pairs.append((g, coeff))
     return AlgebraElement.from_pairs(fs, pairs)
 
@@ -402,6 +419,7 @@ def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
     if n < 1:
         raise ValueError(f"{top} field 'n' must be at least 1, got {n}")
     group = group_from_json(_field(data, "group", top), fs, n)
+    scalars: dict = {}  # coefficient strings parsed so far
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
     for k, entry in enumerate(_list_field(data, "lambda", top, optional=True)):
         where = f"lambda entry {k}"
@@ -409,7 +427,7 @@ def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
         i = _int_field(entry, "i", where)
         if not 1 <= i <= n:
             raise ValueError(f"{where} field 'i' must be in 1..{n}, got {i}")
-        val = algebra_element_from_json(_field(entry, "value", where), group, fs, f"{where} value")
+        val = algebra_element_from_json(_field(entry, "value", where), group, fs, scalars, f"{where} value")
         if not val.is_zero():
             if (g, i) in lam_table:
                 raise ValueError(f"duplicate lambda entry for {(g, i)}")
@@ -420,7 +438,7 @@ def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
         i, j = _int_field(entry, "i", where), _int_field(entry, "j", where)
         if not 1 <= i < j <= n:
             raise ValueError(f"{where} needs 1 <= i < j <= {n}, got {(i, j)}")
-        val = algebra_element_from_json(_field(entry, "value", where), group, fs, f"{where} value")
+        val = algebra_element_from_json(_field(entry, "value", where), group, fs, scalars, f"{where} value")
         if not val.is_zero():
             if (i, j) in kap_table:
                 raise ValueError(f"duplicate kappa entry for {(i, j)}")

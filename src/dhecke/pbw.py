@@ -80,9 +80,8 @@ scripts/crossval_campaign.py compare against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .classify import _read_betas
 from .groups import GroupElement, Perm
@@ -97,8 +96,7 @@ from .parameters import (
 from .scalars import CharTwoUnsupported, FieldSpec, Scalar
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     """A concrete quantifier instance at which a condition fails."""
 
     condition: int
@@ -121,11 +119,13 @@ class Witness:
         }
 
 
-@dataclass
 class ConditionReport:
-    verdicts: dict[int, bool] = field(default_factory=dict)
-    witnesses: dict[int, Witness] = field(default_factory=dict)
-    timing_ms: float = 0.0
+    """The verdict and first witness of each condition, as `check_pbw` fills them in."""
+
+    def __init__(self) -> None:
+        self.verdicts: dict[int, bool] = {}
+        self.witnesses: dict[int, Witness] = {}
+        self.timing_ms = 0.0
 
     @property
     def pbw(self) -> bool:

@@ -53,6 +53,29 @@ so they differ by exactly the cocycle discrepancy of PBW condition (1) at
 resolves for every g once it resolves for g in S, by the word-length
 induction in the `dhecke.pbw` docstring.
 
+In default mode `_resolves_fast` decides such an overlap (s, h, v_i) first,
+at about the cost of condition (1) at (s, h, i).  It applies exactly the
+rules the leftmost reducer applies, read from the cached R2 right-hand sides:
+
+- left: R1 gives (sh) v_i, then R2 on ((sh), v_i) gives
+  sum_r a_r v_r (sh) + lambda(sh, v_i), where ^{sh} v_i = sum_r a_r v_r;
+- right: R2 on (h, v_i) gives sum_r b_r s v_r h + s lambda(h, v_i), where
+  ^h v_i = sum_r b_r v_r; R2 on each (s, v_r) gives ^s v_r s h +
+  lambda(s, v_r) h, and R1 on what follows gives the words v_q (sh) and
+  the group words lambda(s, v_r) h and s lambda(h, v_i), multiplied out.
+
+Every word made is a v_q (sh) or an x in G.  These words are irreducible and
+map one-to-one to the PBW monomials v_q (sh) and x, so the two normal forms
+are these two sums, with their coefficients added up, and the overlap
+resolves exactly when every coefficient of their difference vanishes mod p.
+Summing equal words changes no normal form (see above), and it can only
+lower the general reducer's step count, so the fast path's count of rule
+applications bounds the count of each parse.  When a coefficient does not
+vanish, or the count passes `step_budget`, the general reducer takes the
+overlap as before, so the witness, the StepBudgetExceeded message and every
+output come from it.  `exhaustive=True` uses the general reducer on every
+overlap; it is the oracle the fast path is checked against.
+
 The group-var-var overlaps (g, v_j, v_i) need only g in S too, once every
 group-group-var overlap resolves (that family is swept first).  The
 argument below uses the rewrite rules alone, not the five conditions, so
@@ -109,7 +132,6 @@ one the full sweep finds first.  `exhaustive=True` sweeps all of G.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .groups import GroupElement, GroupTable, MatrixElement, Perm
@@ -153,8 +175,7 @@ class NormalMonomial(NamedTuple):
         return (-self.degree, self.exponents, self.g)
 
 
-@dataclass(frozen=True)
-class OverlapWitness:
+class OverlapWitness(NamedTuple):
     """An overlap ambiguity whose two one-step reductions disagree."""
 
     family: str
@@ -203,9 +224,8 @@ class RewriteSystem:
         self.field: FieldSpec = lam.field
         self.n = lam.n
         self.step_budget = step_budget
-        # R2's right-hand side per (g, i) as (middle of the word, coefficient) pairs, built on
-        # first use: a reduction applies R2 to the same few pairs over and over.
-        self._r2: dict[tuple[GroupElement, int], list[tuple[Word, Scalar]]] = {}
+        # R2's right-hand side per (g, i), see _r2_rhs.
+        self._r2: dict[tuple[GroupElement, int], list[tuple[Word, Scalar, int]]] = {}
 
     # -- rules ---------------------------------------------------------------
 
@@ -221,6 +241,19 @@ class RewriteSystem:
                 return pos  # R3
         return None
 
+    def _r2_rhs(self, g: GroupElement, i: int) -> list[tuple[Word, Scalar, int]]:
+        """R2's right-hand side for (g, v_i) as (middle of the word, coefficient, drop) terms.
+
+        Built on first use and cached: a reduction applies R2 to the same
+        few pairs over and over.
+        """
+        rhs = self._r2.get((g, i))
+        if rhs is None:
+            rhs = self._r2[(g, i)] = [((r, g), c, 0) for r, c in g.column(i)] + [
+                ((h,), c, 1) for h, c in self.lam.at(g, i).terms.items()
+            ]
+        return rhs
+
     def _apply_rule(self, word: Word, pos: int) -> list[tuple[Word, Scalar, int]]:
         """The rule at pos as (word, coefficient, v-degree drop) terms.
 
@@ -232,13 +265,7 @@ class RewriteSystem:
         if not _is_var(a) and not _is_var(b):
             return [(pre + (a * b,) + post, 1, 0)]
         if not _is_var(a):
-            rhs = self._r2.get((a, b))
-            if rhs is None:
-                g, i = a, b
-                rhs = self._r2[(g, i)] = [((r, g), c, 0) for r, c in g.column(i)] + [
-                    ((h,), c, 1) for h, c in self.lam.at(g, i).terms.items()
-                ]
-            return [(pre + mid + post, c, drop) for mid, c, drop in rhs]
+            return [(pre + mid + post, c, drop) for mid, c, drop in self._r2_rhs(a, b)]
         j, i = a, b
         kappa_terms = self.kappa.at(i, j).terms.items()
         return [(pre + (i, j) + post, 1, 0)] + [(pre + (h,) + post, -c, 2) for h, c in kappa_terms]
@@ -345,8 +372,43 @@ class RewriteSystem:
                     out.append(("var-var-var", (k, j, i)))
         return out
 
-    def _resolve(self, family: str, word: Word) -> Optional[OverlapWitness]:
-        """Reduce both parses of an overlap; their difference if they disagree."""
+    def _resolves_fast(self, word: Word) -> bool:
+        """Whether the group-group-var overlap (s, h, v_i) resolves, by its few rules alone.
+
+        It applies the rules the leftmost reducer applies (see the module
+        docstring).  False means that a coefficient does not vanish, or that
+        the rule count passes the step budget; the general reducer then decides.
+        """
+        s, h, i = word
+        sh = s * h
+        # The words (v_r, sh) and (x,) are told apart by their first token.
+        diff: dict[Token, Scalar] = {}
+        steps = 3  # R1 on (s, h), R2 on (sh, v_i), R2 on (h, v_i)
+        for mid, c, _ in self._r2_rhs(sh, i):
+            diff[mid[0]] = diff.get(mid[0], 0) + c
+        for mid, c, drop in self._r2_rhs(h, i):
+            steps += 1
+            if drop:  # s lambda(h, v_i): R1
+                x = s * mid[0]
+                diff[x] = diff.get(x, 0) - c
+                continue
+            for mid2, c2, drop2 in self._r2_rhs(s, mid[0]):  # R2 on (s, v_r), then R1
+                steps += 1
+                t = mid2[0] * h if drop2 else mid2[0]
+                diff[t] = diff.get(t, 0) - c * c2
+        if steps > self.step_budget:
+            return False
+        p = self.field.characteristic
+        return not any(c % p for c in diff.values()) if p else not any(diff.values())
+
+    def _resolve(self, family: str, word: Word, fast: bool = False) -> Optional[OverlapWitness]:
+        """Reduce both parses of an overlap; their difference if they disagree.
+
+        With `fast`, a group-group-var overlap is first tried by
+        `_resolves_fast`; the general reducer still gives every witness.
+        """
+        if fast and family == "group-group-var" and self._resolves_fast(word):
+            return None
         try:
             left = self.normal_form((w, c) for w, c, _ in self._apply_rule(word, 0))
             right = self.normal_form((w, c) for w, c, _ in self._apply_rule(word, 1))
@@ -366,11 +428,12 @@ class RewriteSystem:
         either mode (see the module docstring).
         """
         for family, word in self.overlap_words(exhaustive=exhaustive):
-            witness = self._resolve(family, word)
+            witness = self._resolve(family, word, fast=not exhaustive)
             if witness is None:
                 continue
             if family != "var-var-var" and not exhaustive:
-                witness = next(w for w in (self._resolve(*fw) for fw in self._family(family, self.group)) if w)
+                rescan = (self._resolve(f, w, fast=True) for f, w in self._family(family, self.group))
+                witness = next(w for w in rescan if w)
             return False, witness
         return True, None
 

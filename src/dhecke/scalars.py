@@ -1,13 +1,17 @@
 """Exact field arithmetic over prime fields F_p and the rationals.
 
 A scalar is a plain number in canonical form: an ``int`` in ``0..p-1`` over
-F_p, an arbitrary-precision ``Fraction`` over Q.  :class:`FieldSpec` is the
-one ring object: ``fs(x)`` is the canonical image of an int, a ``Fraction``
-or a decimal/rational string, ``fs.inv(x)`` inverts, and ``fs.zero`` and
-``fs.one`` are plain values.
+F_p; over Q an ``int`` when it is integral and an arbitrary-precision
+``Fraction`` otherwise, so that integer arithmetic over Q stays on ints.
+:class:`FieldSpec` is the one ring object: ``fs(x)`` is the canonical image
+of an int, a ``Fraction`` or a decimal/rational string, ``fs.inv(x)``
+inverts, and ``fs.zero`` and ``fs.one`` are plain values.
 
 Python's own operators do the arithmetic, so their results need not be
-canonical over F_p: a negation or a sum may leave ``0..p-1``.  Whatever is
+canonical: over F_p a negation or a sum may leave ``0..p-1``, and over Q a
+product of Fractions may be a ``Fraction`` with denominator 1.  That one
+equals, hashes and prints (through ``str``) as the int it stands for, so
+mixing the two changes no comparison and no output.  Whatever is
 stored (a table entry, a witness, a normal form) goes through ``fs(...)``
 first, or through the ``AlgebraElement`` constructor, which reduces its
 coefficients.  There is no scalar division: ``/`` on two ints gives a float,
@@ -16,7 +20,6 @@ so every quotient is a product with ``fs.inv``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -67,17 +70,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """A prime field F_p (p odd unless explicitly overridden) or Q (p = 0)."""
+    """A prime field F_p (p odd unless explicitly overridden) or Q (p = 0).
 
-    characteristic: int
-    allow_char2: bool = field(default=False, compare=False)
-    zero: Scalar = field(init=False, repr=False, compare=False)
-    one: Scalar = field(init=False, repr=False, compare=False)
+    Immutable; two specs are equal when their characteristics are.
+    """
 
-    def __post_init__(self) -> None:
-        p = self.characteristic
+    __slots__ = ("characteristic", "allow_char2", "zero", "one")
+
+    def __init__(self, characteristic: int, allow_char2: bool = False) -> None:
+        p = characteristic
         if p < 0:
             raise ValueError(f"characteristic must be >= 0, got {p}")
         if p >= MAX_CHARACTERISTIC:
@@ -86,13 +88,30 @@ class FieldSpec:
             )
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
-        if p == 2 and not self.allow_char2:
+        if p == 2 and not allow_char2:
             raise CharTwoUnsupported(
                 "characteristic 2 requires the explicit override flag; "
                 "PBW questions in characteristic 2 go through the rewrite oracle"
             )
+        object.__setattr__(self, "characteristic", p)
+        object.__setattr__(self, "allow_char2", allow_char2)
         object.__setattr__(self, "zero", self(0))
         object.__setattr__(self, "one", self(1))
+
+    def __setattr__(self, *_):
+        raise AttributeError("FieldSpec is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild a spec through __init__, which the __setattr__ above requires.
+        return FieldSpec, (self.characteristic, self.allow_char2)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self) -> int:
+        return hash((self.characteristic,))
 
     def __call__(self, value: Union[int, Fraction, str]) -> Scalar:
         """The canonical image of an int, a Fraction, or a decimal/rational string."""
@@ -100,7 +119,10 @@ class FieldSpec:
             return self.parse(value)
         p = self.characteristic
         if p == 0:
-            return Fraction(value)
+            if type(value) is int:
+                return value
+            q = Fraction(value)
+            return q.numerator if q.denominator == 1 else q
         if isinstance(value, Fraction):
             if value.denominator % p == 0:
                 raise ModularObstruction(f"denominator of {value} vanishes mod {p}")
@@ -121,7 +143,7 @@ class FieldSpec:
         if not x:
             raise ZeroDivisionError("scalar inverse of zero")
         p = self.characteristic
-        return pow(x, -1, p) if p else Fraction(x.denominator, x.numerator)
+        return pow(x, -1, p) if p else self(Fraction(x.denominator, x.numerator))
 
     def inverse_of_integer(self, m: int) -> Scalar:
         """1/m in the field; refuses when m vanishes (the modular case)."""

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -510,3 +513,11 @@ def test_infinite_matrix_group_over_q_refused_at_once(capsys, tmp_path):
     assert time.perf_counter() - t0 < 1.0
     err = assert_one_line_error(capsys, code)
     assert "M[[1,1],[0,1]]" in err and "infinite" in err
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """`import dhecke.cli` stays off dataclasses and inspect, which every process would pay for."""
+    code = "import sys, dhecke.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

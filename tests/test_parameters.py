@@ -27,6 +27,7 @@ from dhecke import (
 from dhecke.classify import _read_betas
 from dhecke.groups import ClosureCapExceeded
 from dhecke.linalg import column
+from dhecke.parameters import element_from_json
 from dhecke.scalars import CharTwoUnsupported, ModularObstruction
 
 from conftest import FIXTURES, build_char2_matrix_pair, load_fixture
@@ -340,3 +341,81 @@ def test_params_from_json_fuzz_returns_or_raises_input_errors(data):
         return
     assert isinstance(lam, LambdaParam) and isinstance(kap, KappaParam)
     assert lam.n == kap.n == int(data["n"])
+
+
+def _mu_file(fs, n=3, seed=3):
+    lam, kap = random_params(n, fs, seed=seed, profile="mu-family")
+    return (lam, kap), json.loads(json.dumps(params_to_json(lam, kap)))
+
+
+def test_params_from_json_returns_the_tables_own_elements(F5):
+    (lam, kap), data = _mu_file(F5, n=4)
+    lam2, kap2 = params_from_json(data)
+    assert (lam2, kap2) == (lam, kap)
+    members = {id(g) for g in lam2.group}
+    values = list(lam2.table.values()) + list(kap2.table.values())
+    assert all(id(g) in members for g, _ in lam2.table)
+    assert all(id(h) in members for val in values for h in val.terms)
+    group = lam2.group
+    assert element_from_json([2, 1, 3, 4], group) is group.lookup([2, 1, 3, 4]) is group.elements[6]
+
+
+def test_group_lookup_takes_only_plain_int_images(S3):
+    g = Perm([2, 1, 3])
+    assert S3.lookup([2, 1, 3]) == g
+    assert S3.lookup([True, 2, 3]) is None  # JSON true equals 1, but is not an image
+    assert S3.lookup(["2", 1, 3]) is None
+    assert S3.lookup([1, 2, 3, 4]) is None
+    assert S3.lookup((2, 1, 3)) is None and S3.lookup({"g": 1}) is None
+    matrices = params_from_json(load_fixture("example_4_3.json"))[0].group
+    assert matrices.lookup([1, 0, 0, 1]) is None
+
+
+def _set_g(where, g):
+    def edit(data):
+        entry = data
+        for key in where:
+            entry = entry[key]
+        entry["g"] = g
+
+    return edit
+
+
+def _append_term(kind, k, term):
+    return lambda data: data[kind][k]["value"].append(term)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_g(("lambda", 4), [True, 2, 3]), "lambda entry 4 field 'g' entry 0 must be an integer, got True"),
+        (_set_g(("lambda", 4), [1, 2, 3, 4]), "element g[1,2,3,4] is not in the declared group"),
+        (_set_g(("lambda", 4, "value", 1), [2, 1, True]), "lambda entry 4 value term 1 field 'g' entry 2 must be an integer, got True"),
+        (_set_g(("lambda", 4, "value", 1), [2, "2", 3]), "not a permutation of 1..3: (2, 2, 3)"),
+        (_append_term("kappa", 0, {"g": [2, 1], "coeff": "1"}), "element g[2,1] is not in the declared group"),
+        (
+            _append_term("lambda", 4, {"g": [2, 1, 3], "coeff": True}),
+            "lambda entry 4 value term 2 field 'coeff' must be a scalar such as \"3\" or \"-1/2\", got True",
+        ),
+        (
+            _append_term("kappa", 1, {"g": [2, 1, 3], "coeff": True}),
+            "kappa entry 1 value term 2 field 'coeff' must be a scalar such as \"3\" or \"-1/2\", got True",
+        ),
+        (_append_term("kappa", 1, {"coeff": "1"}), "kappa entry 1 value term 2 is missing the field 'g'"),
+    ],
+)
+def test_params_from_json_refusals_name_the_input(F5, edit, message):
+    """The table lookup accepts only plain int images; everything else is refused as before, by name."""
+    _, data = _mu_file(F5)
+    edit(data)
+    with pytest.raises(ValueError) as exc:
+        params_from_json(data)
+    assert str(exc.value) == message
+
+
+def test_params_from_json_still_reads_digit_strings(F5):
+    (lam, kap), data = _mu_file(F5)
+    entry = next(e for e in data["lambda"] if e["g"] == [2, 1, 3] and e["value"])
+    entry["g"] = ["2", "1", "3"]
+    entry["value"][0]["g"] = [str(x) for x in entry["value"][0]["g"]]
+    assert params_from_json(data) == (lam, kap)

@@ -364,6 +364,44 @@ def test_generator_overlaps_char2_matrix_group():
     assert (ok, wit) == rs.check_confluence(exhaustive=True)
 
 
+def _fast_path_pairs():
+    """Seeded mu-family and perturbed-mu pairs at n = 3, 4, and two fixtures."""
+    for n in (3, 4):
+        for p in (3, 5, 7, 0):
+            for profile in ("mu-family", "perturbed-mu"):
+                yield f"{profile} n={n} p={p}", *random_params(n, FieldSpec(p), seed=n + p, profile=profile)
+    for name in ("example_4_3.json", "example_3_4.json"):  # a matrix group in characteristic 2, and S_4
+        yield name, *params_from_json(load_fixture(name))
+
+
+def test_group_group_var_fast_path_matches_general_reducer():
+    """On every group-group-var word, the fast path resolves exactly when both normal forms agree."""
+    verdicts = Counter()
+    for label, lam, kap in _fast_path_pairs():
+        rs = RewriteSystem(lam, kap)
+        for family, word in rs.overlap_words(exhaustive=True):
+            if family == "group-group-var":
+                resolves = rs._resolve(family, word) is None
+                assert rs._resolves_fast(word) == resolves, (label, format_word(word))
+                verdicts[resolves] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_fast_path_leaves_normal_form_to_the_other_families(F5):
+    """A PBW pair calls normal_form twice per group-var-var and var-var-var overlap, and no more."""
+    lam, kap = random_params(4, F5, seed=2, profile="mu-family")
+    rs = RewriteSystem(lam, kap)
+    calls = Counter()
+    normal_form = rs.normal_form
+    rs.normal_form = lambda *args: calls.update(["nf"]) or normal_form(*args)
+    assert rs.check_confluence() == (True, None)
+    others = [w for f, w in rs.overlap_words() if f != "group-group-var"]
+    assert calls["nf"] == 2 * len(others) == 2 * (2 * comb(4, 2) + comb(4, 3))
+    calls.clear()
+    assert rs.check_confluence(exhaustive=True) == (True, None)
+    assert calls["nf"] == 2 * len(rs.overlap_words(exhaustive=True))
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_overlap_counts(F5, n):
     """|S||G|n + |S|C(n,2) + C(n,3) overlaps, or |G|^2 n + |G|C(n,2) + C(n,3) when exhaustive."""

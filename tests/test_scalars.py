@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +74,33 @@ def test_canonical_reduction_and_parsing():
     assert str(Q("4/6")) == "2/3"
     assert str(Q(-3)) == "-3"
     assert Q.parse(str(Q("22/7"))) == Q("22/7")
+
+
+def test_integral_rationals_are_ints():
+    """Over Q an integral value is an int and any other a Fraction; str prints both alike."""
+    Q = FieldSpec(0)
+    for x in (Q(3), Q("6/2"), Q(Fraction(-4, 2)), Q.inv(Fraction(1, 3)), Q.inv(-1), Q.zero, Q.one):
+        assert type(x) is int
+    assert (Q("6/2"), Q(Fraction(-4, 2)), Q.inv(Fraction(1, 3)), Q.inv(-1)) == (3, -2, 3, -1)
+    for x in (Q("1/2"), Q.inv(2), Q.inv(Fraction(-3, 2))):
+        assert type(x) is Fraction
+    assert (Q.inv(2), Q.inv(Fraction(-3, 2))) == (Fraction(1, 2), Fraction(-2, 3))
+    assert str(Q(3)) == str(Fraction(3)) == "3"
+    assert type(FieldSpec(5)(Fraction(1, 2))) is int
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(0), FieldSpec(5), FieldSpec(2, allow_char2=True)])
+def test_field_spec_is_an_immutable_value(spec):
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
+        assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+        assert (twin.allow_char2, twin.zero, twin.one) == (spec.allow_char2, spec.zero, spec.one)
+    with pytest.raises(AttributeError):
+        spec.characteristic = 7
+    assert repr(spec) == ("Q" if spec.characteristic == 0 else f"F{spec.characteristic}")
+    # equality and hash see the characteristic alone, not the override flag
+    assert FieldSpec(5, allow_char2=True) == FieldSpec(5) != FieldSpec(7)
+    assert hash(FieldSpec(5, allow_char2=True)) == hash(FieldSpec(5))
+    assert FieldSpec(5) != 5 and FieldSpec(0) != "Q"
 
 
 fields = st.sampled_from([FieldSpec(0), FieldSpec(3), FieldSpec(5), FieldSpec(7)])
