@@ -11,7 +11,10 @@ first failing condition is each of (1)-(5), so that every overlap family
 appears as a confluence witness; `extract` on the S_n fixtures; `convert
 --out` with its certificate; `build`; and `normal-form --out` on short
 ladder words.  The inputs over Q carry non-integer coefficients, so their
-witnesses, `gamma` and normal forms do too.
+witnesses, `gamma` and normal forms do too.  In characteristic 2 they pin
+what runs (`build`, `check --method confluence`) and each refusal (`build
+--char 2` without `--force-char2`, `check --method both`, `extract`,
+`crossval`).
 
 After an intended change of output, rewrite the expectations with
 
@@ -95,6 +98,10 @@ HAND = {
 # A mu over Q with non-integer entries, and its expansion with one kappa term bumped by 1/7.
 Q_MU = {"characteristic": 0, "n": 3, "a": {"2,3": "1/3", "1,2": "-2"}, "b": ["1", "-1/2"], "c": "2/5"}
 
+# Mu files with integer entries, so that they also make sense in characteristic 2.
+CHAR2_MU = {"characteristic": 2, "n": 3, "a": {"1,2": 1, "2,3": "3"}, "b": [1, "0"], "c": "1"}
+INT_MU = {"characteristic": 0, "n": 3, "a": {"1,3": "-1"}, "b": ["2", "1"], "c": 5}
+
 
 def _seeded_name(profile: str, n: int, p: int, seed: int) -> str:
     return f"{profile}_n{n}_p{p}_s{seed}.json"
@@ -118,6 +125,9 @@ def generated_inputs() -> dict[str, str]:
     bad = json.loads(json.dumps(q))
     bad["kappa"][0]["value"].append(_term([2, 1, 3], "1/7"))
     out["q_bad.json"] = _dump(bad)
+    out["char2.mu.json"] = _dump(CHAR2_MU)
+    out["char2_mu.json"] = _dump(params_to_json(*build_H_mu(mu_from_json(CHAR2_MU))))
+    out["int.mu.json"] = _dump(INT_MU)
     return out
 
 
@@ -138,6 +148,13 @@ def cases() -> dict[str, list[str]]:
     out["convert-stdout/golden_rule"] = ["convert", "--input", "golden_rule.json", "--degree", "2"]
     out["build/q"] = ["build", "--mu", "q.mu.json", "--out", "build_q.out.json"]
     out["build/q-char7"] = ["build", "--mu", "q.mu.json", "--char", "7", "--n", "3", "--out", "build_q7.out.json"]
+    out["build/char2"] = ["build", "--mu", "char2.mu.json", "--out", "build_char2.out.json"]
+    out["build/int-char2-refused"] = ["build", "--mu", "int.mu.json", "--char", "2", "--out", "build_int2_refused.out.json"]
+    out["build/int-char2-forced"] = ["build", "--mu", "int.mu.json", "--char", "2", "--force-char2", "--out", "build_int2.out.json"]
+    out["check/char2_mu/confluence"] = ["check", "--input", "char2_mu.json", "--method", "confluence", "--out", "check_char2_mu_confluence.out.json"]
+    out["check/char2_mu/both"] = ["check", "--input", "char2_mu.json", "--method", "both", "--out", "check_char2_mu_both.out.json"]
+    out["extract/char2_mu"] = ["extract", "--input", "char2_mu.json", "--out", "extract_char2_mu.out.json"]
+    out["crossval/char2"] = ["crossval", "--n", "3", "--char", "2", "--samples", "1"]
     words = (
         ("example_1_1_n3", "v3 v2 v1"),
         ("example_4_3", "v2^2 v1^2"),
