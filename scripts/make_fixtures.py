@@ -84,7 +84,7 @@ def two_scalar_n4():
 
 
 def char2_matrix_pair():
-    fs = FieldSpec(2, allow_char2=True)
+    fs = FieldSpec(2)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
     group = enumerate_group([g])
     lam = LambdaParam(group, fs, {(g, 2): AlgebraElement.term(fs, group.identity)})

@@ -307,8 +307,7 @@ def mu_from_json(data, field_spec: FieldSpec | None = None, n: int | None = None
     """
     top = "mu file"
     if field_spec is None:
-        p = _int_field(data, "characteristic", top)
-        field_spec = FieldSpec(p, allow_char2=(p == 2))
+        field_spec = FieldSpec(_int_field(data, "characteristic", top))
     b_data = _list_field(data, "b", top)
     if n is None:
         n_from = f"{top} field 'n'"

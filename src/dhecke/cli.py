@@ -106,7 +106,7 @@ def cmd_build(args) -> int:
                 "--char 2 requires --force-char2; "
                 "PBW questions in characteristic 2 go through the rewrite oracle"
             )
-        fs = FieldSpec(args.char, allow_char2=args.force_char2)
+        fs = FieldSpec(args.char)
     mu = mu_from_json(data, field_spec=fs, n=args.n)
     lam, kappa = build_H_mu(mu)
     _write_json(args.out, params_to_json(lam, kappa))
@@ -150,7 +150,7 @@ def cmd_convert(args) -> int:
         raise ValueError(f"--degree must be at least 0, got {args.degree}")
     lam, kappa = _load_params(args.input)
     result = convert(lam, kappa)
-    ok = verify_isomorphism(lam, kappa, result, m=args.degree)
+    ok = verify_isomorphism(lam, kappa, result)
     converted = params_to_json(LambdaParam(lam.group, lam.field), result.kappa_converted)
     certificate = {
         "gamma": {str(i): algebra_element_to_json(v) for i, v in result.gamma.items()},

@@ -229,27 +229,21 @@ class GroupTable:
     row-major entries for matrices), so all downstream iteration is
     deterministic, and must be closed under `g.inverse()`.  `generators`
     generates the group as a monoid (every element is a positive word in
-    it); it defaults to all elements.  The group's kind is worked out once,
-    here: `field` is the matrix entries' field (None for permutations),
-    `is_permutation_group` says every element is a Perm, and
-    `is_symmetric_group` that they are all n! of them.
+    it); `enumerate_group` builds every table from the generators it closes
+    up.  The group's kind is worked out once, here: `field` is the matrix
+    entries' field (None for permutations), `is_permutation_group` says
+    every element is a Perm, and `is_symmetric_group` that they are all n!
+    of them.
     """
 
-    def __init__(
-        self,
-        elements: Iterable[GroupElement],
-        n: int,
-        generators: Sequence[GroupElement] | None = None,
-    ) -> None:
+    def __init__(self, elements: Iterable[GroupElement], n: int, generators: Sequence[GroupElement]) -> None:
         self.elements: tuple[GroupElement, ...] = tuple(sorted(elements))
         self.n = n
         # Each element keyed by itself, so that `lookup` returns the table's own object.
         self._members = {g: g for g in self.elements}
         if len(self._members) != len(self.elements):
             raise ValueError("duplicate elements")
-        self.generators: tuple[GroupElement, ...] = (
-            self.elements if generators is None else tuple(generators)
-        )
+        self.generators: tuple[GroupElement, ...] = tuple(generators)
         for s in self.generators:
             if s not in self._members:
                 raise ValueError(f"generator {s!r} is not in the enumeration")
@@ -378,4 +372,4 @@ def enumerate_group(generators: Sequence[GroupElement], cap: int = CLOSURE_CAP) 
                     if len(seen) > cap:
                         raise ClosureCapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
-    return GroupTable(seen, n, generators=generators)
+    return GroupTable(seen, n, generators)

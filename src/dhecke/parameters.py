@@ -282,7 +282,7 @@ def _scalar_value(value, fs: FieldSpec, where: str) -> Scalar:
     """A scalar written as an integer or a "num/den" string, or a ValueError naming `where`."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return fs.parse(str(value))
+            return fs(value)
         except ModularObstruction as exc:
             raise ModularObstruction(f"{where}: {exc}") from None
         except ValueError:
@@ -411,10 +411,7 @@ def params_to_json(lam: LambdaParam, kappa: KappaParam):
 def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
     """Parse a parameter file; a missing or ill-typed field raises ValueError naming it."""
     top = "parameter file"
-    p = _int_field(data, "characteristic", top)
-    # A file that declares characteristic 2 is an explicit request for it;
-    # the five-condition checker still refuses such inputs on its own.
-    fs = FieldSpec(p, allow_char2=(p == 2))
+    fs = FieldSpec(_int_field(data, "characteristic", top))
     n = _int_field(data, "n", top)
     if n < 1:
         raise ValueError(f"{top} field 'n' must be at least 1, got {n}")

@@ -135,9 +135,8 @@ import re
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .groups import GroupElement, GroupTable, MatrixElement, Perm
-from .group_algebra import AlgebraElement
 from .parameters import KappaParam, LambdaParam
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, ModularObstruction, Scalar
 
 Token = Union[int, Perm, MatrixElement]
 Word = tuple[Token, ...]
@@ -441,25 +440,12 @@ class RewriteSystem:
 # -- sums, parsing, printing ---------------------------------------------------
 
 
-def nc_mul(field_spec: FieldSpec, x: NCSum, y: NCSum) -> NCSum:
-    out: NCSum = {}
-    for wx, cx in x.items():
-        for wy, cy in y.items():
-            w = wx + wy
-            out[w] = field_spec(out.get(w, 0) + cx * cy)
-    return {w: c for w, c in out.items() if c}
-
-
 def nc_sub(field_spec: FieldSpec, x: NCSum, y: NCSum) -> NCSum:
-    """x - y without zero coefficients; also used on normal-form sums."""
+    """x - y without zero coefficients: the difference of two normal forms in an overlap witness."""
     out = dict(x)
     for w, c in y.items():
         out[w] = field_spec(out.get(w, 0) - c)
     return {w: c for w, c in out.items() if c}
-
-
-def from_algebra_element(x: AlgebraElement) -> NCSum:
-    return {(g,): c for g, c in x.terms.items()}
 
 
 _VAR_RE = re.compile(r"^v(\d+)(?:\^(\d+))?$")
@@ -529,7 +515,10 @@ def parse_word_sum(
             if _SCALAR_RE.match(tok):
                 if word:
                     raise ValueError(f"scalar {tok} must prefix its word")
-                coeff = field_spec(coeff * field_spec.parse(tok))
+                try:
+                    coeff = field_spec(coeff * field_spec(tok))
+                except ModularObstruction as exc:
+                    raise ModularObstruction(f"scalar {tok}: {exc}") from None
                 continue
             raise ValueError(f"cannot parse token {tok!r}")
         w = tuple(word)
@@ -544,12 +533,14 @@ def _group_token(tok: str, field_spec: FieldSpec, n: int, group: Optional[GroupT
         if perm:
             g: GroupElement = Perm([int(x) for x in perm.group(1).split(",")])
         elif mat:
-            rows = [[field_spec.parse(x) for x in r.split(",")] for r in mat.group(1).split("],[")]
+            rows = [[field_spec(x) for x in r.split(",")] for r in mat.group(1).split("],[")]
             g = MatrixElement(field_spec, rows)
         else:
             return None
     except ValueError as exc:
         raise ValueError(f"cannot parse group token {tok}: {exc}") from None
+    except ModularObstruction as exc:
+        raise ModularObstruction(f"group token {tok}: {exc}") from None
     if g.n != n:
         raise ValueError(f"group token {tok} does not act on F^{n}")
     if group is not None and g not in group:

@@ -1,5 +1,9 @@
 """Exact field arithmetic over prime fields F_p and the rationals.
 
+Every prime p gives a field, 2 included: the operations whose formulas
+divide by 2 or 4 refuse characteristic 2 themselves (CharTwoUnsupported),
+and the rewriting oracle, which divides by nothing, accepts it.
+
 A scalar is a plain number in canonical form: an ``int`` in ``0..p-1`` over
 F_p; over Q an ``int`` when it is integral and an arbitrary-precision
 ``Fraction`` otherwise, so that integer arithmetic over Q stays on ints.
@@ -71,14 +75,14 @@ def _is_prime(p: int) -> bool:
 
 
 class FieldSpec:
-    """A prime field F_p (p odd unless explicitly overridden) or Q (p = 0).
+    """A prime field F_p (any prime p, 2 included) or Q (p = 0).
 
     Immutable; two specs are equal when their characteristics are.
     """
 
-    __slots__ = ("characteristic", "allow_char2", "zero", "one")
+    __slots__ = ("characteristic", "zero", "one")
 
-    def __init__(self, characteristic: int, allow_char2: bool = False) -> None:
+    def __init__(self, characteristic: int) -> None:
         p = characteristic
         if p < 0:
             raise ValueError(f"characteristic must be >= 0, got {p}")
@@ -88,13 +92,7 @@ class FieldSpec:
             )
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
-        if p == 2 and not allow_char2:
-            raise CharTwoUnsupported(
-                "characteristic 2 requires the explicit override flag; "
-                "PBW questions in characteristic 2 go through the rewrite oracle"
-            )
         object.__setattr__(self, "characteristic", p)
-        object.__setattr__(self, "allow_char2", allow_char2)
         object.__setattr__(self, "zero", self(0))
         object.__setattr__(self, "one", self(1))
 
@@ -103,7 +101,7 @@ class FieldSpec:
 
     def __reduce__(self):
         # pickle and copy rebuild a spec through __init__, which the __setattr__ above requires.
-        return FieldSpec, (self.characteristic, self.allow_char2)
+        return FieldSpec, (self.characteristic,)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FieldSpec:
@@ -116,7 +114,13 @@ class FieldSpec:
     def __call__(self, value: Union[int, Fraction, str]) -> Scalar:
         """The canonical image of an int, a Fraction, or a decimal/rational string."""
         if isinstance(value, str):
-            return self.parse(value)
+            text = value.strip()
+            if "/" in text:
+                num_s, den_s = text.split("/", 1)
+                if int(den_s) == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
+                return self(Fraction(int(num_s), int(den_s)))
+            return self(int(text))
         p = self.characteristic
         if p == 0:
             if type(value) is int:
@@ -128,15 +132,6 @@ class FieldSpec:
                 raise ModularObstruction(f"denominator of {value} vanishes mod {p}")
             return value.numerator * pow(value.denominator, -1, p) % p
         return int(value) % p
-
-    def parse(self, text: str) -> Scalar:
-        text = text.strip()
-        if "/" in text:
-            num_s, den_s = text.split("/", 1)
-            if int(den_s) == 0:
-                raise ValueError(f"zero denominator in {text!r}")
-            return self(Fraction(int(num_s), int(den_s)))
-        return self(int(text))
 
     def inv(self, x: Scalar) -> Scalar:
         """1/x for a nonzero scalar x."""

@@ -107,7 +107,7 @@ def two_scalar_n4(F7):
 
 def build_char2_matrix_pair():
     """Z/2Z generated by [[1,1],[0,1]] over F_2: gw = vg + wg + 1, vw - wv = g."""
-    fs = FieldSpec(2, allow_char2=True)
+    fs = FieldSpec(2)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
     group = enumerate_group([g])
     lam = LambdaParam(group, fs, {(g, 2): AlgebraElement.term(fs, group.identity)})

@@ -104,7 +104,7 @@ def test_round_trip_build_extract_random(F5, F7, Q):
 
 
 def test_extract_gates(F5):
-    lam, kap = golden_rule(3, FieldSpec(2, allow_char2=True))
+    lam, kap = golden_rule(3, FieldSpec(2))
     with pytest.raises(CharTwoUnsupported):
         extract_mu(lam, kap)
 
@@ -136,7 +136,7 @@ def test_low_dim_n2(F5):
 
 
 def test_low_dim_n2_char2_family():
-    fs = FieldSpec(2, allow_char2=True)
+    fs = FieldSpec(2)
     lam, kap = low_dim_family(2, (fs.zero, fs.zero, fs.one, fs.zero), fs)
     assert kap.at(1, 2) == AlgebraElement.term(fs, Perm.identity(2))
     assert RewriteSystem(lam, kap).check_confluence()[0]

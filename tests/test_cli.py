@@ -182,6 +182,20 @@ def test_normal_form_bad_word_exit2(capsys):
         assert word.split()[0] in err
 
 
+@pytest.mark.parametrize(
+    "fixture, word",
+    [
+        ("example_4_3.json", "M[[1/2,0],[0,1]] v1"),  # an entry whose denominator vanishes mod 2
+        ("example_1_1_n3.json", "1/5 v1"),  # a scalar whose denominator vanishes mod 5
+    ],
+)
+def test_normal_form_modular_token_names_it(capsys, fixture, word):
+    code = main(["normal-form", "--input", str(FIXTURES / fixture), "--word", word])
+    err = assert_one_line_error(capsys, code)
+    # The token heads the message; "denominator of 1/5" alone would not name it.
+    assert err.startswith("modular obstruction: ") and f"{word.split()[0]}: denominator" in err
+
+
 def test_normal_form_huge_power_exit2(capsys):
     """A power past the word-length bound is refused before it is expanded."""
     started = time.perf_counter()

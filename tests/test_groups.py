@@ -44,7 +44,7 @@ def test_compose_mismatched():
 
 
 def test_matrix_involution_over_f2():
-    fs = FieldSpec(2, allow_char2=True)
+    fs = FieldSpec(2)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
     assert (g * g).is_identity()
 
@@ -60,7 +60,7 @@ def test_act_on_vector():
 
 def test_matrix_action_example():
     # [[1,1],[0,1]] over F2 sends the second basis vector to v + w
-    fs = FieldSpec(2, allow_char2=True)
+    fs = FieldSpec(2)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
     assert g.column(2) == ((1, fs.one), (2, fs.one))
 
@@ -74,7 +74,7 @@ def test_reflection_length():
 def test_fixed_space_codim():
     assert Perm.from_cycles(4, (2, 3)).fixed_space_codim() == 1
     assert Perm.from_cycles(3, (1, 2, 3)).fixed_space_codim() == 2
-    fs = FieldSpec(2, allow_char2=True)
+    fs = FieldSpec(2)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
     assert g.fixed_space_codim() == 1
 
@@ -117,16 +117,17 @@ def test_enumerate_group_records_generators():
     s1 = Perm.from_cycles(3, (1, 2))
     s2 = Perm.from_cycles(3, (2, 3))
     assert enumerate_group([s1, s2]).generators == (s1, s2)
-    fs = FieldSpec(2, allow_char2=True)
+    fs = FieldSpec(2)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
     assert enumerate_group([g]).generators == (g,)
 
 
-def test_group_table_generators_default_and_membership():
+def test_group_table_generators_membership():
     elements = list(symmetric_group(3))
-    assert GroupTable(elements, 3).generators == symmetric_group(3).elements
+    gens = [Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 2, 3))]
+    assert GroupTable(elements, 3, gens).generators == tuple(gens)
     with pytest.raises(ValueError):
-        GroupTable(elements, 3, generators=[Perm([2, 1])])
+        GroupTable(elements, 3, [Perm([2, 1])])
 
 
 def test_group_table_kind_from_elements():
@@ -137,12 +138,12 @@ def test_group_table_kind_from_elements():
     a3 = enumerate_group([Perm.from_cycles(3, (1, 2, 3))])
     assert a3.is_permutation_group and not a3.is_symmetric_group
     lam, _ = params_from_json(load_fixture("example_4_3.json"))
-    assert lam.group.field == FieldSpec(2, allow_char2=True)
+    assert lam.group.field == FieldSpec(2)
     assert not lam.group.is_permutation_group and not lam.group.is_symmetric_group
 
 
 def test_enumerate_matrix_group():
-    fs = FieldSpec(2, allow_char2=True)
+    fs = FieldSpec(2)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
     table = enumerate_group([g])
     assert len(table) == 2

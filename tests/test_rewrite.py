@@ -295,7 +295,7 @@ def test_parse_word_sum_round_trip(F5):
 
 
 def test_parse_word_sum_matrix_tokens():
-    fs = FieldSpec(2, allow_char2=True)
+    fs = FieldSpec(2)
     x = parse_word_sum("M[[1,1],[0,1]] v1", fs, 2)
     ((word, coeff),) = x.items()
     assert coeff == fs.one

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dhecke.scalars import (
     MAX_CHARACTERISTIC,
-    CharTwoUnsupported,
     FieldSpec,
     ModularObstruction,
 )
@@ -23,17 +22,7 @@ def test_field_spec_validation():
         FieldSpec(6)
     with pytest.raises(ValueError):
         FieldSpec(-3)
-    with pytest.raises(CharTwoUnsupported):
-        FieldSpec(2)
-    assert FieldSpec(2, allow_char2=True).characteristic == 2
-
-
-def test_override_flag_does_not_split_the_field():
-    # scalars from differently-flagged char-2 specs interoperate
-    a = FieldSpec(2, allow_char2=True)
-    b = FieldSpec(2, allow_char2=True)
-    assert a == b
-    assert a(a(1) + b(1)) == b(0)
+    assert FieldSpec(2).characteristic == 2
 
 
 def test_div_mod_5():
@@ -68,12 +57,12 @@ def test_canonical_reduction_and_parsing():
     F5 = FieldSpec(5)
     assert F5(12) == F5(2)
     assert F5(-1) == F5(4)
-    assert F5.parse("7") == F5(2)
+    assert F5("7") == F5(2)
     assert F5("2/3") == F5(F5(2) * F5.inv(F5(3)))
     Q = FieldSpec(0)
     assert str(Q("4/6")) == "2/3"
     assert str(Q(-3)) == "-3"
-    assert Q.parse(str(Q("22/7"))) == Q("22/7")
+    assert Q(str(Q("22/7"))) == Q("22/7")
 
 
 def test_integral_rationals_are_ints():
@@ -89,17 +78,16 @@ def test_integral_rationals_are_ints():
     assert type(FieldSpec(5)(Fraction(1, 2))) is int
 
 
-@pytest.mark.parametrize("spec", [FieldSpec(0), FieldSpec(5), FieldSpec(2, allow_char2=True)])
+@pytest.mark.parametrize("spec", [FieldSpec(0), FieldSpec(5), FieldSpec(2)])
 def test_field_spec_is_an_immutable_value(spec):
     for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
         assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
-        assert (twin.allow_char2, twin.zero, twin.one) == (spec.allow_char2, spec.zero, spec.one)
+        assert (twin.zero, twin.one) == (spec.zero, spec.one)
     with pytest.raises(AttributeError):
         spec.characteristic = 7
     assert repr(spec) == ("Q" if spec.characteristic == 0 else f"F{spec.characteristic}")
-    # equality and hash see the characteristic alone, not the override flag
-    assert FieldSpec(5, allow_char2=True) == FieldSpec(5) != FieldSpec(7)
-    assert hash(FieldSpec(5, allow_char2=True)) == hash(FieldSpec(5))
+    assert FieldSpec(5) == FieldSpec(5) != FieldSpec(7)
+    assert hash(FieldSpec(5)) == hash(FieldSpec(5))
     assert FieldSpec(5) != 5 and FieldSpec(0) != "Q"
 
 
@@ -152,7 +140,7 @@ def test_primality_is_exact_up_to_the_bound():
     for p in range(2, 3000):
         expected = all(p % d for d in range(2, int(p**0.5) + 1))
         if expected:
-            FieldSpec(p, allow_char2=True)
+            FieldSpec(p)
         else:
             with pytest.raises(ValueError):
                 FieldSpec(p)
