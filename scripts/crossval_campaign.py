@@ -8,7 +8,9 @@ oracle is an engine bug, not a property of the inputs.  Each sample also
 reruns both engines with exhaustive=True, which sweeps conditions (1), (2)
 and (3) and the group-group-var and group-var-var overlaps over all of G
 rather than the generators; the default result (verdicts and witnesses)
-must equal it.
+must equal it, and so must the verdicts of `is_pbw` and
+`RewriteSystem.is_confluent`, the verdict-only paths that `dhecke crossval`
+and `convert` take.
 
 Usage:
     python scripts/crossval_campaign.py [--samples 60] [--seed 0]
@@ -23,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dhecke import FieldSpec, RewriteSystem, check_pbw, random_params  # noqa: E402
+from dhecke import FieldSpec, RewriteSystem, check_pbw, is_pbw, random_params  # noqa: E402
 
 PROFILES = ("general", "mu-family", "perturbed-mu")
 
@@ -39,16 +41,24 @@ def run_cell(n: int, p: int, samples: int, seed: int) -> tuple[int, int, int]:
         full = check_pbw(lam, kappa, exhaustive=True)
         rs = RewriteSystem(lam, kappa)
         confluence = rs.check_confluence()
+        full_confluence = rs.check_confluence(exhaustive=True)
         cond, conf = report.pbw, confluence[0]
         shortcut_ok = (report.verdicts, report.witnesses) == (full.verdicts, full.witnesses) and (
-            confluence == rs.check_confluence(exhaustive=True)
+            confluence == full_confluence
         )
-        if cond == conf and shortcut_ok:
+        verdict_only = (is_pbw(lam, kappa), rs.is_confluent())
+        where = f"n={n} p={p} sample={s} profile={profile}"
+        if cond == conf and shortcut_ok and verdict_only == (full.pbw, full_confluence[0]):
             agree += 1
         elif cond != conf:
-            print(f"  MISMATCH at n={n} p={p} sample={s} profile={profile}: {cond} vs {conf}")
+            print(f"  MISMATCH at {where}: {cond} vs {conf}")
+        elif not shortcut_ok:
+            print(f"  GENERATOR SWEEP DIFFERS FROM EXHAUSTIVE at {where}")
         else:
-            print(f"  GENERATOR SWEEP DIFFERS FROM EXHAUSTIVE at n={n} p={p} sample={s} profile={profile}")
+            print(
+                f"  VERDICT-ONLY PATH DIFFERS FROM EXHAUSTIVE at {where}: is_pbw/is_confluent "
+                f"{verdict_only[0]}/{verdict_only[1]}, exhaustive {full.pbw}/{full_confluence[0]}"
+            )
         pbw_true += cond
     return agree, pbw_true, samples
 

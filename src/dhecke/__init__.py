@@ -26,7 +26,7 @@ from .parameters import (
     params_to_json,
     random_params,
 )
-from .pbw import ConditionReport, Witness, check_condition, check_pbw, diagnose_kappa_support, diagnose_lambda, lemma_suite
+from .pbw import ConditionReport, Witness, check_condition, check_pbw, diagnose_kappa_support, diagnose_lambda, is_pbw, lemma_suite
 from .rewrite import (
     NormalMonomial,
     RewriteSystem,
@@ -86,6 +86,7 @@ __all__ = [
     "gamma",
     "golden_rule",
     "invariant_kappa_params",
+    "is_pbw",
     "lemma_suite",
     "low_dim_family",
     "mu_from_json",

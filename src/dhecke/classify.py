@@ -105,16 +105,20 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
     fs = mu.field
     n = mu.n
     group = symmetric_group(n)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    a = {ij: mu.a_at(*ij) for ij in pairs}
+    transposition = {ij: Perm.transposition(n, *ij) for ij in pairs}
+    b = [mu.b_at(k) for k in range(1, n + 1)]  # b[k - 1] = b_k
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
     for g in group:
         for i in range(1, n + 1):
-            coeffs: dict[GroupElement, Scalar] = {g: sum(mu.b_at(i + k) for k in range(g(i) - i + n))}
+            coeffs: dict[GroupElement, Scalar] = {g: sum(b[(i + k - 1) % n] for k in range(g(i) - i + n))}
             for j in range(1, n + 1):
                 if j == i:
                     continue
-                c = mu.a_at(i, j) - mu.a_at(g(i), g(j))
+                c = a[i, j] - a[g(i), g(j)]
                 if c:
-                    t = g * Perm.transposition(n, i, j)
+                    t = g * transposition[i, j]
                     coeffs[t] = coeffs.get(t, 0) + c
             lam_table[(g, i)] = AlgebraElement(fs, coeffs)
     a123 = mu.a_triple(1, 2, 3)

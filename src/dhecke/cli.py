@@ -26,7 +26,7 @@ from .parameters import (
     params_to_json,
     random_params,
 )
-from .pbw import check_pbw
+from .pbw import check_pbw, is_pbw
 from .rewrite import (
     DEFAULT_STEP_BUDGET,
     RewriteSystem,
@@ -193,8 +193,8 @@ def cmd_crossval(args) -> int:
         profile = profiles[s % 3]
         per_profile[profile] += 1
         lam, kappa = random_params(args.n, fs, seed=args.seed + s, profile=profile)
-        cond = check_pbw(lam, kappa).pbw
-        conf = RewriteSystem(lam, kappa, step_budget=_step_budget()).check_confluence()[0]
+        cond = is_pbw(lam, kappa)
+        conf = RewriteSystem(lam, kappa, step_budget=_step_budget()).is_confluent()
         key = f"{str(cond).lower()}/{str(conf).lower()}"
         matrix[key] += 1
         if cond != conf:
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="nonmodular conversion to a lambda = 0 pair")
     p.add_argument("--input", required=True)
-    p.add_argument("--degree", type=int, default=3, help="isomorphism verification degree")
+    p.add_argument("--degree", type=int, default=3, help="degree recorded in the certificate")
     p.add_argument("--out", help="output converted parameter file")
     p.set_defaults(func=cmd_convert)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .group_algebra import AlgebraElement
 from .parameters import KappaParam, LambdaParam
-from .pbw import check_pbw
+from .pbw import is_pbw
 from .rewrite import RewriteSystem
 from .scalars import ModularObstruction
 
@@ -65,7 +65,7 @@ def convert(lam: LambdaParam, kappa_prime: KappaParam) -> ConversionResult:
         raise ModularObstruction(
             f"|G| = {len(lam.group)} vanishes in characteristic {fs.characteristic}"
         )
-    if not check_pbw(lam, kappa_prime).pbw:
+    if not is_pbw(lam, kappa_prime):
         raise NotPBWInput("conversion requires a PBW input pair")
     g = gamma(lam)
     n = lam.n
@@ -114,7 +114,7 @@ def verify_isomorphism(lam: LambdaParam, kappa_prime: KappaParam, result: Conver
     n = lam.n
     rs = RewriteSystem(lam, kappa_prime)
     checks = {"commutator_relations": True, "group_relations": True}
-    if not rs.check_confluence()[0]:
+    if not rs.is_confluent():
         raise NotPBWInput("the source pair does not define a confluent system")
 
     f_images = {
@@ -139,6 +139,6 @@ def verify_isomorphism(lam: LambdaParam, kappa_prime: KappaParam, result: Conver
                 checks["group_relations"] = False
 
     converted_rs = RewriteSystem(LambdaParam(lam.group, lam.field), result.kappa_converted)
-    checks["filtered_dimensions"] = converted_rs.check_confluence()[0]
+    checks["filtered_dimensions"] = converted_rs.is_confluent()
     result.checks = checks
     return all(checks.values())

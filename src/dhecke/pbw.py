@@ -75,6 +75,20 @@ sweep is re-found by the exhaustive sweep, whose first witness is the one
 reported, so witnesses do not depend on the mode.  `exhaustive=True` runs
 every full sweep; it is the oracle the tests and
 scripts/crossval_campaign.py compare against.
+
+`is_pbw` gives the verdict alone, for callers that read nothing else
+(`crossval` and `convert`).  It runs the generator sweeps in the order (1),
+(3), (2), then (4) and (5), and stops at the first failure, without looking
+up a witness over G.  The verdicts match: a failure on S is a failure on G,
+since S is part of G, and each sweep on S runs only once the ones before it
+have passed on S, hence on G, so by the argument above it decides its
+condition on G.
+
+Conditions (1) and (2) add every term of an instance's discrepancy into one
+plain {group element: coefficient} dict, which holds when each coefficient
+vanishes (mod p over F_p).  Only a witness becomes an AlgebraElement, whose
+constructor reduces and drops zeros, so it equals lhs - rhs of the
+instance.
 """
 
 from __future__ import annotations
@@ -159,15 +173,23 @@ def _cond1(
     lam: LambdaParam, kappa: KappaParam, gs: Optional[Sequence[GroupElement]] = None
 ) -> Optional[Witness]:
     """The cocycle identity at every (g, h, i) with g in gs (default: all of G)."""
+    fs = lam.field
     n = lam.n
     for g in lam.group if gs is None else gs:
         for h in lam.group:
             gh = g * h
             for i in range(1, n + 1):
-                rhs = lam.eval_vector(g, h.column(i)).mul_right(h) + lam.at(h, i).mul_left(g)
-                lhs = lam.at(gh, i)
-                if lhs != rhs:
-                    return Witness(1, g, h, (i,), lhs - rhs)
+                # lambda(gh, v_i) - lambda(g, ^h v_i) h - g lambda(h, v_i)
+                acc = dict(lam.at(gh, i).terms)
+                for r, a in h.column(i):
+                    for x, c in lam.at(g, r).terms.items():
+                        xh = x * h
+                        acc[xh] = acc.get(xh, 0) - a * c
+                for x, c in lam.at(h, i).terms.items():
+                    gx = g * x
+                    acc[gx] = acc.get(gx, 0) - c
+                if not fs.vanishes(acc.values()):
+                    return Witness(1, g, h, (i,), AlgebraElement(fs, acc))
     return None
 
 
@@ -180,12 +202,23 @@ def _cond2(
     for g in lam.group if gs is None else gs:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                twisted = kappa.eval(g.column(i), g.column(j))
-                lhs = twisted.mul_right(g) - kappa.at(i, j).mul_left(g)
-                rhs = lam.eval(lam.at(g, j), ((i, fs.one),)) - lam.eval(lam.at(g, i), ((j, fs.one),))
-                diff = lhs - rhs
-                if not diff.is_zero():
-                    return Witness(2, g, None, (i, j), diff)
+                # kappa(^g v_i, ^g v_j) g - g kappa(v_i, v_j)
+                #   - lambda(lambda(g, v_j), v_i) + lambda(lambda(g, v_i), v_j)
+                acc: dict[GroupElement, Scalar] = {}
+                for r, a in g.column(i):
+                    for s, b in g.column(j):
+                        for x, c in kappa.at(r, s).terms.items():
+                            xg = x * g
+                            acc[xg] = acc.get(xg, 0) + a * b * c
+                for x, c in kappa.at(i, j).terms.items():
+                    gx = g * x
+                    acc[gx] = acc.get(gx, 0) - c
+                for k, m, sign in ((j, i, -1), (i, j, 1)):
+                    for x, c in lam.at(g, k).terms.items():
+                        for y, d in lam.at(x, m).terms.items():
+                            acc[y] = acc.get(y, 0) + sign * c * d
+                if not fs.vanishes(acc.values()):
+                    return Witness(2, g, None, (i, j), AlgebraElement(fs, acc))
     return None
 
 
@@ -288,6 +321,17 @@ def check_condition(
             return True, None
     w = sweep(lam, kappa)
     return w is None, w
+
+
+def is_pbw(lam: LambdaParam, kappa: KappaParam) -> bool:
+    """The verdict of `check_pbw`, from the generator sweeps alone (see the module docstring)."""
+    _refuse_char2(lam)
+    gens = lam.group.generators
+    return (
+        all(_CONDITIONS[k](lam, kappa, gens) is None for k in (1, 3, 2))
+        and _cond4(lam, kappa) is None
+        and _cond5(lam, kappa) is None
+    )
 
 
 def check_pbw(lam: LambdaParam, kappa: KappaParam, *, exhaustive: bool = False) -> ConditionReport:

@@ -127,6 +127,13 @@ words for g in S only: |S|.|G|.n + |S|.C(n,2) + C(n,3) overlaps instead of
 |G|^2.n + |G|.C(n,2) + C(n,3).  When one of them fails, `check_confluence`
 rescans its family over all of G in order, so the reported witness is the
 one the full sweep finds first.  `exhaustive=True` sweeps all of G.
+
+`is_confluent` gives the verdict alone, for callers that read nothing else
+(`crossval`, `convert` and `verify_isomorphism`).  It walks the same
+overlaps through the same loop as `check_confluence` and stops at the first
+failure, without the rescan.  The verdicts match: an overlap that fails on S
+fails on G, since S is part of G, and when every overlap on S resolves,
+every overlap on G does, by the argument above.
 """
 
 from __future__ import annotations
@@ -395,10 +402,7 @@ class RewriteSystem:
                 steps += 1
                 t = mid2[0] * h if drop2 else mid2[0]
                 diff[t] = diff.get(t, 0) - c * c2
-        if steps > self.step_budget:
-            return False
-        p = self.field.characteristic
-        return not any(c % p for c in diff.values()) if p else not any(diff.values())
+        return steps <= self.step_budget and self.field.vanishes(diff.values())
 
     def _resolve(self, family: str, word: Word, fast: bool = False) -> Optional[OverlapWitness]:
         """Reduce both parses of an overlap; their difference if they disagree.
@@ -420,21 +424,31 @@ class RewriteSystem:
             family, word, tuple(sorted(diff.items(), key=lambda t: t[0].sort_key()))
         )
 
+    def _first_failure(self, exhaustive: bool) -> Optional[OverlapWitness]:
+        """The first overlap of `overlap_words` whose two parses disagree, or None."""
+        for family, word in self.overlap_words(exhaustive=exhaustive):
+            witness = self._resolve(family, word, fast=not exhaustive)
+            if witness is not None:
+                return witness
+        return None
+
+    def is_confluent(self) -> bool:
+        """The verdict of `check_confluence`, without the rescan over G for its witness."""
+        return self._first_failure(exhaustive=False) is None
+
     def check_confluence(self, *, exhaustive: bool = False) -> tuple[bool, Optional[OverlapWitness]]:
         """Resolve every overlap both ways; pass iff all pairs agree.
 
         The witness is the first failing overlap of the exhaustive order in
         either mode (see the module docstring).
         """
-        for family, word in self.overlap_words(exhaustive=exhaustive):
-            witness = self._resolve(family, word, fast=not exhaustive)
-            if witness is None:
-                continue
-            if family != "var-var-var" and not exhaustive:
-                rescan = (self._resolve(f, w, fast=True) for f, w in self._family(family, self.group))
-                witness = next(w for w in rescan if w)
-            return False, witness
-        return True, None
+        witness = self._first_failure(exhaustive)
+        if witness is None:
+            return True, None
+        if witness.family != "var-var-var" and not exhaustive:
+            rescan = (self._resolve(f, w, fast=True) for f, w in self._family(witness.family, self.group))
+            witness = next(w for w in rescan if w)
+        return False, witness
 
 
 # -- sums, parsing, printing ---------------------------------------------------

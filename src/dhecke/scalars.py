@@ -25,7 +25,7 @@ so every quotient is a product with ``fs.inv``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 # A canonical scalar; the type of every coefficient in the engine.
 Scalar = Union[int, Fraction]
@@ -132,6 +132,11 @@ class FieldSpec:
                 raise ModularObstruction(f"denominator of {value} vanishes mod {p}")
             return value.numerator * pow(value.denominator, -1, p) % p
         return int(value) % p
+
+    def vanishes(self, values: Iterable[Scalar]) -> bool:
+        """Whether every value, a plain int or Fraction not yet reduced mod p, is zero in the field."""
+        p = self.characteristic
+        return not any(c % p for c in values) if p else not any(values)
 
     def inv(self, x: Scalar) -> Scalar:
         """1/x for a nonzero scalar x."""

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -13,6 +15,7 @@ from dhecke import (
     NormalMonomial,
     Perm,
     RewriteSystem,
+    Witness,
     check_condition,
     check_pbw,
     diagnose_kappa_support,
@@ -20,10 +23,12 @@ from dhecke import (
     enumerate_group,
     gamma,
     golden_rule,
+    is_pbw,
     lemma_suite,
     random_params,
     scale_params,
 )
+from dhecke import pbw
 from dhecke.linalg import column
 from dhecke.scalars import CharTwoUnsupported
 
@@ -143,6 +148,8 @@ def test_char2_refusal():
         check_pbw(lam, kap)
     with pytest.raises(CharTwoUnsupported):
         check_condition(1, lam, kap)
+    with pytest.raises(CharTwoUnsupported):
+        is_pbw(lam, kap)
 
 
 def test_condition_quantification_is_multilinear(two_scalar_n4, F7):
@@ -255,11 +262,14 @@ def test_checker_agrees_with_oracle_across_grid():
 def test_generator_sweep_matches_exhaustive():
     """Conditions (1), (3) and (2) on generators only give the exhaustive verdicts and witnesses."""
     reduced_fails = Counter()  # failures of k met by its reduced sweep, and those off the generators
+    verdicts = Counter()
     for label, lam, kap in sweep_grid():
         reduced = check_pbw(lam, kap)
         full = check_pbw(lam, kap, exhaustive=True)
         assert reduced.verdicts == full.verdicts, label
         assert reduced.witnesses == full.witnesses, label
+        assert is_pbw(lam, kap) == full.pbw, label
+        verdicts[full.pbw] += 1
         # full is made of check_condition(k, exhaustive=True) for k = 1..5
         for k in range(1, 6):
             assert check_condition(k, lam, kap) == (full.verdicts[k], full.witnesses.get(k)), (label, k)
@@ -270,6 +280,101 @@ def test_generator_sweep_matches_exhaustive():
                 reduced_fails[k, "off"] += full.witnesses[k].g not in lam.group.generators
     # each reduced sweep fails somewhere, and somewhere at a witness the generators alone would not give
     assert all(reduced_fails[k] and reduced_fails[k, "off"] for k in (1, 3, 2)), reduced_fails
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def _reference_cond1(lam, kappa, gs=None):
+    """Condition (1) in AlgebraElement arithmetic: the reference for the plain-dict sweep."""
+    for g in lam.group if gs is None else gs:
+        for h in lam.group:
+            for i in range(1, lam.n + 1):
+                rhs = lam.eval_vector(g, h.column(i)).mul_right(h) + lam.at(h, i).mul_left(g)
+                lhs = lam.at(g * h, i)
+                if lhs != rhs:
+                    return Witness(1, g, h, (i,), lhs - rhs)
+    return None
+
+
+def _reference_cond2(lam, kappa, gs=None):
+    """Condition (2) in AlgebraElement arithmetic: the reference for the plain-dict sweep."""
+    one = lam.field.one
+    for g in lam.group if gs is None else gs:
+        for i in range(1, lam.n + 1):
+            for j in range(i + 1, lam.n + 1):
+                twisted = kappa.eval(g.column(i), g.column(j))
+                lhs = twisted.mul_right(g) - kappa.at(i, j).mul_left(g)
+                rhs = lam.eval(lam.at(g, j), ((i, one),)) - lam.eval(lam.at(g, i), ((j, one),))
+                diff = lhs - rhs
+                if not diff.is_zero():
+                    return Witness(2, g, None, (i, j), diff)
+    return None
+
+
+def _report_json(report):
+    """A report's verdicts and every witness, not only the first."""
+    return report.verdicts, {k: w.to_json() for k, w in report.witnesses.items()}
+
+
+def _matrix_group_pairs():
+    """Seeded pairs on matrix groups whose columns hold coefficients other than 1.
+
+    lambda is the coboundary g phi(v) - phi(^g v) g of a seeded phi, which
+    satisfies (1); odd seeds add one random term, which breaks it.  kappa
+    has a random term on about half the pairs i < j.
+    """
+    generators = (
+        (0, [[[0, -1], [1, 1]]]),  # a rotation of order 6
+        (5, [[[2, 0], [0, 3]], [[0, 1], [1, 0]]]),  # order 8
+        (7, [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]),  # order 24
+    )
+    for p, gens in generators:
+        fs = FieldSpec(p)
+        group = enumerate_group([MatrixElement(fs, [[fs(x) for x in row] for row in g]) for g in gens])
+        n = group.n
+        for seed in range(4):
+            rng = random.Random(f"matrix pair|p={p}|seed={seed}")
+
+            def term():
+                return AlgebraElement.term(fs, rng.choice(group.elements), fs(rng.choice((1, 2, -1))))
+
+            phi = {i: term() for i in range(1, n + 1)}
+            table = {}
+            for g in group:
+                for i in range(1, n + 1):
+                    moved = AlgebraElement(fs)
+                    for r, c in g.column(i):
+                        moved = moved + phi[r].scale(c)
+                    table[(g, i)] = phi[i].mul_left(g) - moved.mul_right(g)
+            if seed % 2:
+                key = (rng.choice(group.elements), rng.randint(1, n))
+                table[key] = table.get(key, AlgebraElement(fs)) + term()
+            kap = {(i, j): term() for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5}
+            yield (p, len(group), seed), LambdaParam(group, fs, table), KappaParam(fs, n, kap)
+
+
+def test_plain_dict_conditions_match_algebra_element_reference(monkeypatch):
+    """Conditions (1) and (2) give the reference verdicts and witness JSON.
+
+    Compared on the generator sweeps, and inside check_pbw in default and
+    exhaustive mode, where the exhaustive report holds every witness on G.
+    """
+    fails = Counter()
+    for label, lam, kap in chain(sweep_grid(), _matrix_group_pairs()):
+        gens = lam.group.generators
+        for k, reference in ((1, _reference_cond1), (2, _reference_cond2)):
+            w, ref = pbw._CONDITIONS[k](lam, kap, gens), reference(lam, kap, gens)
+            assert (w and w.to_json()) == (ref and ref.to_json()), (label, k)
+            fails[k, "on S"] += w is not None
+        reports = [_report_json(check_pbw(lam, kap, exhaustive=e)) for e in (False, True)]
+        with monkeypatch.context() as m:
+            m.setitem(pbw._CONDITIONS, 1, _reference_cond1)
+            m.setitem(pbw._CONDITIONS, 2, _reference_cond2)
+            assert reports == [_report_json(check_pbw(lam, kap, exhaustive=e)) for e in (False, True)], label
+        for k in (1, 2):
+            fails[k, "on G"] += not reports[1][0][k]
+            fails[k, "matrix"] += not reports[1][0][k] and not lam.group.is_permutation_group
+    # both conditions fail somewhere: on the generators, on G and on a matrix group
+    assert all(fails[k, where] for k in (1, 2) for where in ("on S", "on G", "matrix")), fails
 
 
 def test_generator_sweep_finds_single_bad_entry(F5, S3):

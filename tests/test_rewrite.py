@@ -333,18 +333,22 @@ def test_format_zero(F5):
 def test_generator_overlaps_match_exhaustive():
     """Overlaps with a group token first, on generators only, give the exhaustive verdicts and witnesses."""
     fails = Counter()  # failing families, and those whose witness is off the generators
+    verdicts = Counter()
     for label, lam, kap in sweep_grid():
         rs = RewriteSystem(lam, kap)
         reduced = rs.check_confluence()
         full = rs.check_confluence(exhaustive=True)
         assert reduced == full, label
         ok, wit = full
+        assert rs.is_confluent() == ok, label
+        verdicts[ok] += 1
         if not ok:
             fails[wit.family] += 1
             if wit.family != "var-var-var":
                 fails[wit.family, "off"] += wit.word[0] not in lam.group.generators
     for family in ("group-group-var", "group-var-var"):
         assert fails[family] and fails[family, "off"], fails
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def test_generator_overlaps_char2_matrix_group():
@@ -352,6 +356,7 @@ def test_generator_overlaps_char2_matrix_group():
     lam, kap = params_from_json(load_fixture("example_4_3.json"))
     rs = RewriteSystem(lam, kap)
     assert rs.check_confluence() == rs.check_confluence(exhaustive=True) == (True, None)
+    assert rs.is_confluent()
     # lambda(1, v_1) = 1 breaks the cocycle identity at g = 1, which is not a generator
     fs = lam.field
     one = lam.group.identity
@@ -362,6 +367,7 @@ def test_generator_overlaps_char2_matrix_group():
     ok, wit = rs.check_confluence()
     assert not ok and wit.family == "group-group-var" and wit.word[0] == one
     assert (ok, wit) == rs.check_confluence(exhaustive=True)
+    assert not rs.is_confluent()
 
 
 def _fast_path_pairs():
