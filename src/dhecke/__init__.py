@@ -7,96 +7,61 @@ PBW verdicts: a five-condition parameter test and a rewriting/confluence
 oracle.
 """
 
-from .scalars import CharTwoUnsupported, FieldSpec, ModularObstruction, Scalar
-from .groups import (
-    GroupElement,
-    GroupTable,
-    MatrixElement,
-    Perm,
-    enumerate_group,
-    symmetric_group,
-)
-from .group_algebra import AlgebraElement
-from .parameters import (
-    KappaParam,
-    LambdaParam,
-    act_on_kappa,
-    act_on_lambda,
-    params_from_json,
-    params_to_json,
-    random_params,
-)
-from .pbw import ConditionReport, Witness, check_condition, check_pbw, diagnose_kappa_support, diagnose_lambda, is_pbw, lemma_suite
-from .rewrite import (
-    NormalMonomial,
-    RewriteSystem,
-    StepBudgetExceeded,
-    format_normal_form,
-    parse_word_sum,
-)
-from .classify import (
-    DistinctnessViolation,
-    MuParams,
-    build_H_mu,
-    bump_c,
-    extract_mu,
-    golden_rule,
-    invariant_kappa_params,
-    low_dim_family,
-    mu_from_json,
-    mu_to_json,
-    scale_params,
-    two_param_family,
-)
+from importlib import import_module
+
+# The one eager import.  The function `convert` shares its name with the
+# module dhecke.convert, and importing a submodule binds the module on the
+# package, so a lazy `convert` would turn into the module once dhecke.convert
+# is loaded.  Imported here, the function is bound after the module and stays
+# bound; convert.py imports its engines only when it runs them.
 from .convert import ConversionResult, NotPBWInput, convert, gamma, verify_isomorphism
 
-__all__ = [
-    "AlgebraElement",
-    "CharTwoUnsupported",
-    "ConditionReport",
-    "ConversionResult",
-    "DistinctnessViolation",
-    "FieldSpec",
-    "GroupElement",
-    "GroupTable",
-    "KappaParam",
-    "LambdaParam",
-    "MatrixElement",
-    "ModularObstruction",
-    "MuParams",
-    "NormalMonomial",
-    "NotPBWInput",
-    "Perm",
-    "RewriteSystem",
-    "Scalar",
-    "StepBudgetExceeded",
-    "Witness",
-    "act_on_kappa",
-    "act_on_lambda",
-    "build_H_mu",
-    "bump_c",
-    "check_condition",
-    "check_pbw",
-    "convert",
-    "diagnose_kappa_support",
-    "diagnose_lambda",
-    "enumerate_group",
-    "extract_mu",
-    "format_normal_form",
-    "gamma",
-    "golden_rule",
-    "invariant_kappa_params",
-    "is_pbw",
-    "lemma_suite",
-    "low_dim_family",
-    "mu_from_json",
-    "mu_to_json",
-    "params_from_json",
-    "params_to_json",
-    "parse_word_sum",
-    "random_params",
-    "scale_params",
-    "symmetric_group",
-    "two_param_family",
-    "verify_isomorphism",
-]
+# Each public name and the module that defines it.  A name is imported on
+# first use (PEP 562), so `import dhecke` loads no engine it does not run.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("scalars", ("CharTwoUnsupported", "FieldSpec", "ModularObstruction", "Scalar", "StepBudgetExceeded")),
+        ("groups", ("GroupElement", "GroupTable", "MatrixElement", "Perm", "enumerate_group", "symmetric_group")),
+        ("group_algebra", ("AlgebraElement",)),
+        (
+            "parameters",
+            (
+                "KappaParam", "LambdaParam", "act_on_kappa", "act_on_lambda",
+                "params_from_json", "params_to_json", "random_params",
+            ),
+        ),
+        (
+            "pbw",
+            (
+                "ConditionReport", "Witness", "check_condition", "check_pbw",
+                "diagnose_kappa_support", "diagnose_lambda", "is_pbw", "lemma_suite",
+            ),
+        ),
+        ("rewrite", ("NormalMonomial", "RewriteSystem", "format_normal_form", "parse_word_sum")),
+        (
+            "classify",
+            (
+                "DistinctnessViolation", "MuParams", "build_H_mu", "bump_c", "extract_mu", "golden_rule",
+                "invariant_kappa_params", "low_dim_family", "mu_from_json", "mu_to_json", "scale_params",
+                "two_param_family",
+            ),
+        ),
+        ("convert", ("ConversionResult", "NotPBWInput", "convert", "gamma", "verify_isomorphism")),
+    )
+    for name in names
+}
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

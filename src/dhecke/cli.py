@@ -16,26 +16,12 @@ import os
 import sys
 from pathlib import Path
 
-from .classify import build_H_mu, extract_mu, mu_from_json, mu_to_json
+# Only what every command uses is imported here; each command imports the
+# engines (pbw, rewrite, classify) it runs.  The package loads convert anyway.
 from .convert import NotPBWInput, convert, verify_isomorphism
 from .groups import ClosureCapExceeded
-from .parameters import (
-    LambdaParam,
-    algebra_element_to_json,
-    params_from_json,
-    params_to_json,
-    random_params,
-)
-from .pbw import check_pbw, is_pbw
-from .rewrite import (
-    DEFAULT_STEP_BUDGET,
-    RewriteSystem,
-    StepBudgetExceeded,
-    format_normal_form,
-    normal_form_to_json,
-    parse_word_sum,
-)
-from .scalars import CharTwoUnsupported, FieldSpec, ModularObstruction
+from .parameters import LambdaParam, algebra_element_to_json, params_from_json, params_to_json, random_params
+from .scalars import CharTwoUnsupported, FieldSpec, ModularObstruction, StepBudgetExceeded
 
 
 # The largest n crossval accepts, so that |S_n| = n! stays at most 5040:
@@ -44,6 +30,9 @@ MAX_CROSSVAL_N = 7
 
 
 def _step_budget() -> int:
+    """The rewrite step budget; a command reads it once, before any work."""
+    from .rewrite import DEFAULT_STEP_BUDGET
+
     raw = os.environ.get("DHA_STEP_BUDGET")
     if not raw:
         return DEFAULT_STEP_BUDGET
@@ -60,22 +49,35 @@ def _write_json(path: str | None, payload) -> None:
         sys.stdout.write(text)
 
 
-def _load_params(path: str):
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return params_from_json(data)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path!r} is not JSON: {exc.msg}", exc.doc, exc.pos) from None
+
+
+def _load_params(path: str):
+    return params_from_json(_read_json(path))
 
 
 def cmd_check(args) -> int:
+    conditions = args.method in ("conditions", "both")
+    confluence = args.method in ("confluence", "both")
+    budget = _step_budget() if confluence else None
     lam, kappa = _load_params(args.input)
     report: dict = {"input": args.input, "method": args.method}
     verdicts: dict[str, bool] = {}
-    if args.method in ("conditions", "both"):
+    if conditions:
+        from .pbw import check_pbw
+
         cond = check_pbw(lam, kappa)  # refuses characteristic 2 on its own
         verdicts["conditions"] = cond.pbw
         report["conditions"] = cond.to_json()
-    if args.method in ("confluence", "both"):
-        rs = RewriteSystem(lam, kappa, step_budget=_step_budget())
+    if confluence:
+        from .rewrite import RewriteSystem
+
+        rs = RewriteSystem(lam, kappa, step_budget=budget)
         ok, wit = rs.check_confluence()
         verdicts["confluence"] = ok
         report["confluence"] = {"pbw": ok, "witness": wit.to_json() if wit is not None else None}
@@ -97,8 +99,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
-    with open(args.mu, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    from .classify import build_H_mu, mu_from_json
+
+    data = _read_json(args.mu)
     fs = None
     if args.char is not None:
         if args.char == 2 and not args.force_char2:
@@ -115,6 +118,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from .classify import extract_mu, mu_to_json
+    from .pbw import check_pbw
+
     lam, kappa = _load_params(args.input)
     report = check_pbw(lam, kappa)
     if not report.pbw:
@@ -128,9 +134,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
+    from .rewrite import RewriteSystem, format_normal_form, normal_form_to_json, parse_word_sum
+
+    budget = _step_budget()
     lam, kappa = _load_params(args.input)
     x = parse_word_sum(args.word, lam.field, lam.n, lam.group)
-    rs = RewriteSystem(lam, kappa, step_budget=_step_budget())
+    rs = RewriteSystem(lam, kappa, step_budget=budget)
     try:
         nf = rs.normal_form(x)
     except StepBudgetExceeded as exc:
@@ -173,6 +182,9 @@ def cmd_convert(args) -> int:
 
 
 def cmd_crossval(args) -> int:
+    from .pbw import is_pbw
+    from .rewrite import RewriteSystem
+
     if args.char == 2:
         raise CharTwoUnsupported(
             "cross-validation needs the five-condition test, which is not available in characteristic 2"
@@ -184,6 +196,7 @@ def cmd_crossval(args) -> int:
             f"--n must be 3..{MAX_CROSSVAL_N} (the mu tuple needs n > 2, and n! may not pass "
             f"{math.factorial(MAX_CROSSVAL_N)}), got {args.n}"
         )
+    budget = _step_budget()
     fs = FieldSpec(args.char)
     profiles = ("general", "mu-family", "perturbed-mu")
     matrix = {"true/true": 0, "false/false": 0, "true/false": 0, "false/true": 0}
@@ -194,7 +207,7 @@ def cmd_crossval(args) -> int:
         per_profile[profile] += 1
         lam, kappa = random_params(args.n, fs, seed=args.seed + s, profile=profile)
         cond = is_pbw(lam, kappa)
-        conf = RewriteSystem(lam, kappa, step_budget=_step_budget()).is_confluent()
+        conf = RewriteSystem(lam, kappa, step_budget=budget).is_confluent()
         key = f"{str(cond).lower()}/{str(conf).lower()}"
         matrix[key] += 1
         if cond != conf:

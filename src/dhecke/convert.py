@@ -19,11 +19,15 @@ checked on its own.
 
 from __future__ import annotations
 
-from .group_algebra import AlgebraElement
-from .parameters import KappaParam, LambdaParam
-from .pbw import is_pbw
-from .rewrite import RewriteSystem
+from typing import TYPE_CHECKING
+
 from .scalars import ModularObstruction
+
+# The package imports this module whenever it is imported (see __init__.py),
+# so the engines are imported inside the functions that run them.
+if TYPE_CHECKING:
+    from .group_algebra import AlgebraElement
+    from .parameters import KappaParam, LambdaParam
 
 
 class NotPBWInput(ValueError):
@@ -41,6 +45,8 @@ class ConversionResult:
 
 def gamma(lam: LambdaParam) -> dict[int, AlgebraElement]:
     """The averaging map, computed exactly; refuses the modular case."""
+    from .group_algebra import AlgebraElement
+
     fs = lam.field
     order = len(lam.group)
     inv_order = fs.inverse_of_integer(order)
@@ -60,6 +66,9 @@ def convert(lam: LambdaParam, kappa_prime: KappaParam) -> ConversionResult:
     Refuses a modular pair with ModularObstruction and a pair that fails the
     five-condition test with NotPBWInput.
     """
+    from .parameters import KappaParam
+    from .pbw import is_pbw
+
     fs = lam.field
     if fs.characteristic and len(lam.group) % fs.characteristic == 0:
         raise ModularObstruction(
@@ -111,6 +120,9 @@ def verify_isomorphism(lam: LambdaParam, kappa_prime: KappaParam, result: Conver
     then R(g, .) = 0 for every g, and (ii) holds on G exactly when it holds
     on S.
     """
+    from .parameters import LambdaParam
+    from .rewrite import RewriteSystem
+
     n = lam.n
     rs = RewriteSystem(lam, kappa_prime)
     checks = {"commutator_relations": True, "group_relations": True}

@@ -97,7 +97,6 @@ import time
 from itertools import permutations
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .classify import _read_betas
 from .groups import GroupElement, Perm
 from .group_algebra import AlgebraElement
 from .linalg import Column, Vector, column, nullspace, same_subspace
@@ -471,6 +470,8 @@ def lemma_suite(lam: LambdaParam, kappa: KappaParam) -> dict[str, bool]:
 
     Only meaningful for the symmetric group acting by permutations.
     """
+    from .classify import _read_betas
+
     fs = lam.field
     n = lam.n
     group = lam.group

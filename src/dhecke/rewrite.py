@@ -143,18 +143,11 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .groups import GroupElement, GroupTable, MatrixElement, Perm
 from .parameters import KappaParam, LambdaParam
-from .scalars import FieldSpec, ModularObstruction, Scalar
+from .scalars import FieldSpec, ModularObstruction, Scalar, StepBudgetExceeded
 
 Token = Union[int, Perm, MatrixElement]
 Word = tuple[Token, ...]
 NCSum = dict[Word, Scalar]
-
-
-class StepBudgetExceeded(RuntimeError):
-    """Reduction ran past the step budget (termination bug guard).
-
-    check_confluence names the overlap word in the message.
-    """
 
 
 DEFAULT_STEP_BUDGET = 10**7

@@ -35,6 +35,15 @@ class ModularObstruction(ArithmeticError):
     """An integer that must be inverted is divisible by the characteristic."""
 
 
+class StepBudgetExceeded(RuntimeError):
+    """Reduction ran past the step budget (termination bug guard).
+
+    check_confluence names the overlap word in the message.  Defined here,
+    and re-exported by rewrite, so that the CLI maps it to its message
+    without loading the rewriting engine.
+    """
+
+
 class CharTwoUnsupported(ValueError):
     """Raised by operations whose defining formulas divide by 2 or 4.
 

@@ -315,6 +315,38 @@ def test_step_budget_env(capsys, monkeypatch):
         assert "DHA_STEP_BUDGET" in err and repr(raw) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crossval", "--n", "3", "--char", "5", "--samples", "2"],
+        ["normal-form", "--input", "{missing}", "--word", "v2 v1"],
+        ["check", "--input", "{missing}", "--method", "confluence"],
+    ],
+)
+def test_step_budget_read_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    """A bad DHA_STEP_BUDGET is refused before a crossval sample is generated or a file is read."""
+    import dhecke.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a crossval sample was generated")
+
+    monkeypatch.setattr(dhecke.cli, "random_params", fail)
+    monkeypatch.setenv("DHA_STEP_BUDGET", "abc")
+    code = main([a.replace("{missing}", str(tmp_path / "missing.json")) for a in argv])
+    err = assert_one_line_error(capsys, code)
+    assert err.startswith("invalid input:") and "DHA_STEP_BUDGET" in err
+
+
+@pytest.mark.parametrize("text", ["", '{"characteristic": 5, "n": 3, "group": {"type": '])
+@pytest.mark.parametrize("command", ["check", "build"])
+def test_malformed_json_names_the_file(capsys, tmp_path, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    flag = "--mu" if command == "build" else "--input"
+    err = assert_one_line_error(capsys, main([command, flag, str(path)]))
+    assert err.startswith("input error:") and repr(str(path)) in err
+
+
 def test_step_budget_message_names_the_input(capsys, monkeypatch):
     monkeypatch.setenv("DHA_STEP_BUDGET", "1")
     code = main(["normal-form", "--input", str(FIXTURES / "example_1_1_n3.json"), "--word", "v3 v2\nv1"])
@@ -529,9 +561,81 @@ def test_infinite_matrix_group_over_q_refused_at_once(capsys, tmp_path):
     assert "M[[1,1],[0,1]]" in err and "infinite" in err
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    """`import dhecke.cli` stays off dataclasses and inspect, which every process would pay for."""
-    code = "import sys, dhecke.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+def _fresh_python(code: str, *args: str) -> str:
+    """Run `code` in a fresh interpreter without site and return its last line of output."""
     env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()[-1]
+
+
+# Runs dhecke.cli.main on its arguments (or only imports dhecke without any)
+# and prints the dhecke modules that were loaded.
+LOADED_MODULES = """
+import sys
+if sys.argv[1:]:
+    import dhecke.cli
+    assert dhecke.cli.main(sys.argv[1:]) == 0
+else:
+    import dhecke
+print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("dhecke."))))
+"""
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """`import dhecke.cli` stays off dataclasses and inspect, which every process would pay for.
+
+    Each command loads only the engines it runs, and `import dhecke` loads none.
+    """
+    code = "import sys, dhecke.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    assert _fresh_python(code) == "[]"
+
+    assert _fresh_python(LOADED_MODULES) == "convert scalars"
+    params = str(FIXTURES / "example_1_1_n3.json")
+    left_out = [
+        (["normal-form", "--input", params, "--word", "v2 v1"], {"pbw", "classify"}),
+        (["check", "--input", params, "--method", "confluence"], {"pbw", "classify"}),
+        (["check", "--input", params, "--method", "conditions"], {"rewrite", "classify"}),
+        (["convert", "--input", params], {"classify"}),
+    ]
+    for argv, absent in left_out:
+        loaded = set(_fresh_python(LOADED_MODULES, *argv).split())
+        assert "cli" in loaded and not loaded & absent, (argv, sorted(loaded))
+
+
+PUBLIC_NAMES = [
+    "AlgebraElement", "CharTwoUnsupported", "ConditionReport", "ConversionResult", "DistinctnessViolation",
+    "FieldSpec", "GroupElement", "GroupTable", "KappaParam", "LambdaParam", "MatrixElement",
+    "ModularObstruction", "MuParams", "NormalMonomial", "NotPBWInput", "Perm", "RewriteSystem", "Scalar",
+    "StepBudgetExceeded", "Witness", "act_on_kappa", "act_on_lambda", "build_H_mu", "bump_c",
+    "check_condition", "check_pbw", "convert", "diagnose_kappa_support", "diagnose_lambda",
+    "enumerate_group", "extract_mu", "format_normal_form", "gamma", "golden_rule",
+    "invariant_kappa_params", "is_pbw", "lemma_suite", "low_dim_family", "mu_from_json", "mu_to_json",
+    "params_from_json", "params_to_json", "parse_word_sum", "random_params", "scale_params",
+    "symmetric_group", "two_param_family", "verify_isomorphism",
+]
+
+
+def test_package_exports_resolve_to_their_modules():
+    """The lazily bound names are the same 48 objects their modules define."""
+    import importlib
+
+    import dhecke
+
+    assert dhecke.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 48
+    assert set(PUBLIC_NAMES) <= set(dir(dhecke))
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"dhecke.{dhecke._EXPORTS[name]}")
+        assert getattr(dhecke, name) is getattr(module, name), name
+    assert callable(dhecke.convert) and dhecke.convert.__module__ == "dhecke.convert"
+    namespace: dict = {}
+    exec("from dhecke import *", namespace)
+    assert {name: namespace[name] for name in PUBLIC_NAMES} == {name: getattr(dhecke, name) for name in PUBLIC_NAMES}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dhecke.no_such_name
+
+
+def test_convert_names_the_function_after_the_submodule_import():
+    code = "import dhecke.convert; from dhecke import convert; print(type(convert).__name__, convert.__name__)"
+    assert _fresh_python(code) == "function convert"
