@@ -13,7 +13,9 @@ from importlib import import_module
 # module dhecke.convert, and importing a submodule binds the module on the
 # package, so a lazy `convert` would turn into the module once dhecke.convert
 # is loaded.  Imported here, the function is bound after the module and stays
-# bound; convert.py imports its engines only when it runs them.
+# bound.  The import is cheap: convert.py imports no other dhecke module when
+# it loads (its functions import the engines and `scalars` when they run), so
+# `import dhecke` compiles only this file and convert.py.
 from .convert import ConversionResult, NotPBWInput, convert, gamma, verify_isomorphism
 
 # Each public name and the module that defines it.  A name is imported on

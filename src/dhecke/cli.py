@@ -29,6 +29,14 @@ from .scalars import CharTwoUnsupported, FieldSpec, ModularObstruction, StepBudg
 MAX_CROSSVAL_N = 7
 
 
+class InputError(Exception):
+    """An input file that is not UTF-8 text; the message names the file."""
+
+
+class OutputError(Exception):
+    """An output file that cannot be written; the message names the file."""
+
+
 def _step_budget() -> int:
     """The rewrite step budget; a command reads it once, before any work."""
     from .rewrite import DEFAULT_STEP_BUDGET
@@ -44,7 +52,10 @@ def _step_budget() -> int:
 def _write_json(path: str | None, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OutputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -55,6 +66,8 @@ def _read_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise json.JSONDecodeError(f"{path!r} is not JSON: {exc.msg}", exc.doc, exc.pos) from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path!r} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _load_params(path: str):
@@ -283,8 +296,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except ClosureCapExceeded as exc:
         print(f"group too large: {exc}", file=sys.stderr)

@@ -19,12 +19,11 @@ checked on its own.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from .scalars import ModularObstruction
-
 # The package imports this module whenever it is imported (see __init__.py),
-# so the engines are imported inside the functions that run them.
+# so at load time it imports only `__future__`: each function imports the
+# dhecke modules it runs, `scalars` included.  The names below serve the
+# annotations only, which are never evaluated.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .group_algebra import AlgebraElement
     from .parameters import KappaParam, LambdaParam
@@ -68,6 +67,7 @@ def convert(lam: LambdaParam, kappa_prime: KappaParam) -> ConversionResult:
     """
     from .parameters import KappaParam
     from .pbw import is_pbw
+    from .scalars import ModularObstruction
 
     fs = lam.field
     if fs.characteristic and len(lam.group) % fs.characteristic == 0:

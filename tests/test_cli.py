@@ -337,11 +337,11 @@ def test_step_budget_read_before_any_work(capsys, monkeypatch, tmp_path, argv):
     assert err.startswith("invalid input:") and "DHA_STEP_BUDGET" in err
 
 
-@pytest.mark.parametrize("text", ["", '{"characteristic": 5, "n": 3, "group": {"type": '])
+@pytest.mark.parametrize("data", [b"", b'{"characteristic": 5, "n": 3, "group": {"type": ', b"\xff\xfe"])
 @pytest.mark.parametrize("command", ["check", "build"])
-def test_malformed_json_names_the_file(capsys, tmp_path, command, text):
+def test_malformed_json_names_the_file(capsys, tmp_path, command, data):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(data)
     flag = "--mu" if command == "build" else "--input"
     err = assert_one_line_error(capsys, main([command, flag, str(path)]))
     assert err.startswith("input error:") and repr(str(path)) in err
@@ -490,6 +490,14 @@ def test_check_directory_path_exit2(capsys, tmp_path, flag):
     assert str(tmp_path) in err
 
 
+@pytest.mark.parametrize("command", ["check", "convert"])
+def test_unwritable_out_is_an_output_error(capsys, tmp_path, command):
+    out = str(tmp_path / "missing" / "r.json")
+    code = main([command, "--input", str(FIXTURES / "golden_rule.json"), "--out", out])
+    err = assert_one_line_error(capsys, code)
+    assert err.startswith("output error:") and repr(out) in err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -586,12 +594,15 @@ print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("dhec
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     """`import dhecke.cli` stays off dataclasses and inspect, which every process would pay for.
 
-    Each command loads only the engines it runs, and `import dhecke` loads none.
+    Each command loads only the engines it runs, and `import dhecke` loads none, nor
+    `scalars` and the stdlib modules it brings (fractions, decimal), nor typing.
     """
     code = "import sys, dhecke.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
     assert _fresh_python(code) == "[]"
 
-    assert _fresh_python(LOADED_MODULES) == "convert scalars"
+    assert _fresh_python(LOADED_MODULES) == "convert"
+    code = "import sys, dhecke; print([m for m in ('fractions', 'decimal', 'typing') if m in sys.modules])"
+    assert _fresh_python(code) == "[]"
     params = str(FIXTURES / "example_1_1_n3.json")
     left_out = [
         (["normal-form", "--input", params, "--word", "v2 v1"], {"pbw", "classify"}),
