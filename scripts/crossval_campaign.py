@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Seeded cross-validation campaign between the two PBW verdicts.
 
-Runs a grid of (n, characteristic) cells, each with a mix of the three
-random-parameter profiles, and reports the agreement matrix per cell.
+Runs a grid of (n, characteristic) cells, characteristic 2 included, each
+with a mix of the three random-parameter profiles, and reports the
+agreement matrix per cell.
 Any disagreement between the five-condition test and the confluence
 oracle is an engine bug, not a property of the inputs.  Each sample also
 reruns both engines with exhaustive=True, which sweeps conditions (1), (2)
@@ -72,7 +73,7 @@ def main() -> int:
 
     total_agree = total = 0
     for n in range(3, args.max_n + 1):
-        for p in (0, 3, 5, 7):
+        for p in (0, 2, 3, 5, 7):
             t0 = time.perf_counter()
             agree, pbw_true, samples = run_cell(n, p, args.samples, args.seed)
             dt = time.perf_counter() - t0

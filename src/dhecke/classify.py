@@ -313,11 +313,16 @@ def mu_from_json(data, field_spec: FieldSpec | None = None, n: int | None = None
     if field_spec is None:
         field_spec = FieldSpec(_int_field(data, "characteristic", top))
     b_data = _list_field(data, "b", top)
-    if n is None:
-        n_from = f"{top} field 'n'"
-        n = _int_field(data, "n", top) if "n" in data else len(b_data) + 1
-    else:
+    if n is not None:
         n_from = "--n"
+    elif "n" in data:
+        n_from = f"{top} field 'n'"
+        n = _int_field(data, "n", top)
+    else:
+        n_from = f"the length of {top} field 'b'"
+        n = len(b_data) + 1
+    if n <= 2:
+        raise ValueError(f"the mu tuple needs n > 2, got n = {n} from {n_from}")
     if len(b_data) != n - 1:
         raise ValueError(
             f"{top} field 'b' must hold n - 1 = {n - 1} values (n = {n} from {n_from}), got {len(b_data)}"

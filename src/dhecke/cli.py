@@ -84,7 +84,7 @@ def cmd_check(args) -> int:
     if conditions:
         from .pbw import check_pbw
 
-        cond = check_pbw(lam, kappa)  # refuses characteristic 2 on its own
+        cond = check_pbw(lam, kappa)
         verdicts["conditions"] = cond.pbw
         report["conditions"] = cond.to_json()
     if confluence:
@@ -198,10 +198,6 @@ def cmd_crossval(args) -> int:
     from .pbw import is_pbw
     from .rewrite import RewriteSystem
 
-    if args.char == 2:
-        raise CharTwoUnsupported(
-            "cross-validation needs the five-condition test, which is not available in characteristic 2"
-        )
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if not 3 <= args.n <= MAX_CROSSVAL_N:
@@ -295,7 +291,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        print("output error: standard output was closed", file=sys.stderr)
+        # Nothing more can reach the reader, so the final flush writes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

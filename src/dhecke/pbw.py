@@ -6,9 +6,14 @@ check).  Conditions (3) and (4) are equalities of coefficient vectors in V;
 the rest live in FG.  Witnesses are the first failure in deterministic
 iteration order: group elements in table order, then ascending indices.
 
-Characteristic 2 is refused outright here -- the condition set divides by
-nothing, but its verdict is only backed by theory away from 2; callers are
-directed to the rewrite/confluence oracle instead.
+The five conditions hold exactly when H is PBW, in every characteristic,
+2 included, and no step below divides.  By the diamond lemma (Bergman
+1978), applied to the rules of `rewrite.py` (g h -> gh, g v_i ->
+^g v_i g + lambda(g, v_i) and v_j v_i -> v_i v_j - kappa(v_i, v_j) for
+j > i), H is PBW exactly when the ambiguities g h v, g v_j v_i (j > i) and
+v_k v_j v_i (k > j > i) resolve.  (1) is the first; (3) and (2) are the
+degree-1 and degree-0 parts of the second, and (4) and (5) those of the
+third, as shown below.
 
 Condition (1) is the cocycle identity
 
@@ -65,9 +70,10 @@ comparing degrees gives
                        + deg0 E(g; ^h u, ^h v) h,
 
 with g . (w k) = ^g w (gk) and lambda(g, w k) = lambda(g, w) k.  Induct on
-the word length of g = s g' as for (1), using bilinearity to pass from basis
-pairs to ^{g'} u, ^{g'} v.  The first line shows that (3) on S gives (3) on
-G; with that, the second shows that (2) on S gives (2) on G.
+the word length of g = s g' as for (1), using bilinearity and alternation
+to pass from basis pairs i < j to ^{g'} u, ^{g'} v.  The first line shows
+that (3) on S gives (3) on G; with that, the second shows that (2) on S
+gives (2) on G.
 
 So by default (3) is swept over S when (1) holds, and (2) over S when (1)
 and (3) hold; otherwise they sweep all of G.  A failure found by a reduced
@@ -76,13 +82,50 @@ reported, so witnesses do not depend on the mode.  `exhaustive=True` runs
 every full sweep; it is the oracle the tests and
 scripts/crossval_campaign.py compare against.
 
+The ambiguity g v_j v_i (j > i) comes down to E(g; v_i, v_j).  Reducing
+v_j v_i first gives g v_j v_i - g r(v_i, v_j).  Reducing g v_j first moves
+g to the right and then sorts ^g v_j ^g v_i, which gives
+g v_j v_i - r(^g v_i, ^g v_j) g.  So the two reductions differ by
+E(g; v_i, v_j), which has degree at most 1 and so is a combination of
+normal words: the ambiguity resolves exactly when E(g; v_i, v_j) = 0, that
+is, when (3) and (2) hold at (g; i, j).
+
+The sorting step is where the proof uses that kappa is stored only at
+i < j and extended as an alternating form: kappa(v_i, v_i) = 0, so
+r(u, u) = 0 and r(u, w) = sum_{a < b} (u_a w_b - u_b w_a) r(v_a, v_b) lies
+in the span of the relations the rules rewrite.  `_cond2` reads
+kappa(^g v_i, ^g v_j) through that same extension (`KappaParam.at`).  In
+characteristic 2, being alternating is stronger than being skew-symmetric:
+a skew-symmetric form may have kappa(u, u) != 0, and then the relation
+u u - u u = kappa(u, u) would force kappa(u, u) = 0 in H, which no rule and
+no condition sees.
+
+The ambiguity v_k v_j v_i (k > j > i) sorts the three letters both ways,
+and the two results differ by the Jacobi sum
+
+    J = [v_k, kappa(v_i, v_j)] + [v_i, kappa(v_j, v_k)] + [v_j, kappa(v_k, v_i)],
+
+with [x, y] = x y - y x; the last term uses kappa(v_k, v_i) = -kappa(v_i, v_k).
+In A, [v, g] = (v - ^g v) g - lambda(g, v), so J has degree at most 1, its
+degree-1 part is -sum_g D4(g; i, j, k) g and its degree-0 part is
+-D5(i, j, k), where
+
+    D4 = sum over (a, b, m) in ((i, j, k), (j, k, i), (k, i, j))
+         of kappa_g(v_a, v_b) (^g v_m - v_m),
+    D5 = lambda(kappa(v_i, v_j), v_k) + lambda(kappa(v_j, v_k), v_i)
+         + lambda(kappa(v_k, v_i), v_j)
+
+are the discrepancies `_cond4` and `_cond5` compare with zero (D4 vanishes
+at every g outside the support of kappa).  So the ambiguity resolves
+exactly when (4) and (5) hold at (i, j, k).
+
 `is_pbw` gives the verdict alone, for callers that read nothing else
 (`crossval` and `convert`).  It runs the generator sweeps in the order (1),
 (3), (2), then (4) and (5), and stops at the first failure, without looking
 up a witness over G.  The verdicts match: a failure on S is a failure on G,
 since S is part of G, and each sweep on S runs only once the ones before it
-have passed on S, hence on G, so by the argument above it decides its
-condition on G.
+have passed on S, hence on G, so by the generator argument above it decides
+its condition on G.
 
 Conditions (1) and (2) add every term of an instance's discrepancy into one
 plain {group element: coefficient} dict, which holds when each coefficient
@@ -106,7 +149,7 @@ from .parameters import (
     algebra_element_to_json,
     element_to_json,
 )
-from .scalars import CharTwoUnsupported, FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar
 
 
 class Witness(NamedTuple):
@@ -158,14 +201,6 @@ class ConditionReport:
             "witness": w.to_json() if w else None,
             "timing_ms": self.timing_ms,
         }
-
-
-def _refuse_char2(lam: LambdaParam) -> None:
-    if lam.field.characteristic == 2:
-        raise CharTwoUnsupported(
-            "the five-condition test is not available in characteristic 2; "
-            "use the rewrite/confluence oracle (method=confluence)"
-        )
 
 
 def _cond1(
@@ -308,7 +343,6 @@ def check_condition(
     """
     if k not in _CONDITIONS:
         raise ValueError(f"condition number must be 1..5, got {k}")
-    _refuse_char2(lam)
     sweep = _CONDITIONS[k]
     if not exhaustive and k in _PREREQUISITES:
         gens = lam.group.generators
@@ -324,7 +358,6 @@ def check_condition(
 
 def is_pbw(lam: LambdaParam, kappa: KappaParam) -> bool:
     """The verdict of `check_pbw`, from the generator sweeps alone (see the module docstring)."""
-    _refuse_char2(lam)
     gens = lam.group.generators
     return (
         all(_CONDITIONS[k](lam, kappa, gens) is None for k in (1, 3, 2))
@@ -335,7 +368,6 @@ def is_pbw(lam: LambdaParam, kappa: KappaParam) -> bool:
 
 def check_pbw(lam: LambdaParam, kappa: KappaParam, *, exhaustive: bool = False) -> ConditionReport:
     """Conjunction of the five conditions; the verdict is exact."""
-    _refuse_char2(lam)
     t0 = time.perf_counter()
     report = ConditionReport()
     # (3) before (2): the generator sweep of (2) needs the verdicts of (1) and (3).

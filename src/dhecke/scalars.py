@@ -2,7 +2,7 @@
 
 Every prime p gives a field, 2 included: the operations whose formulas
 divide by 2 or 4 refuse characteristic 2 themselves (CharTwoUnsupported),
-and the rewriting oracle, which divides by nothing, accepts it.
+and both PBW verdicts, which divide by nothing, accept it.
 
 A scalar is a plain number in canonical form: an ``int`` in ``0..p-1`` over
 F_p; over Q an ``int`` when it is integral and an arbitrary-precision
@@ -45,10 +45,12 @@ class StepBudgetExceeded(RuntimeError):
 
 
 class CharTwoUnsupported(ValueError):
-    """Raised by operations whose defining formulas divide by 2 or 4.
+    """Raised where characteristic 2 is refused.
 
-    Characteristic-2 inputs must be routed to the rewriting/confluence
-    oracle, which involves no division.
+    `extract_mu` refuses it because its formulas divide by 4 and 2, and the
+    CLI's `build --char 2` without `--force-char2` because the
+    classification is stated only away from 2.  Both PBW verdicts divide by
+    nothing and accept characteristic 2.
     """
 
 

@@ -66,11 +66,12 @@ def test_check_negative_verdict(capsys, tmp_path):
     assert report["conditions"]["witness"]["condition"] == 2
 
 
-def test_check_char2_conditions_exit2(capsys):
-    code, _ = run(
+def test_check_char2_conditions_verdict(capsys):
+    code, out = run(
         capsys, "check", "--input", str(FIXTURES / "example_4_3.json"), "--method", "conditions"
     )
-    assert code == 2
+    assert code == 0
+    assert "PBW (conditions): True" in out
 
 
 def test_check_char2_confluence_passes(capsys):
@@ -81,13 +82,12 @@ def test_check_char2_confluence_passes(capsys):
     assert "True" in out
 
 
-def test_check_char2_both_routes_to_confluence(capsys):
-    # "both" cannot run the condition test in characteristic 2: usage error
-    # with a message pointing at the oracle, never a silent partial verdict
-    code, _ = run(
+def test_check_char2_both_verdicts_agree(capsys):
+    code, out = run(
         capsys, "check", "--input", str(FIXTURES / "example_4_3.json"), "--method", "both"
     )
-    assert code == 2
+    assert code == 0
+    assert "PBW: True/True, verdicts agree" in out
 
 
 def test_check_missing_file_exit2(capsys):
@@ -451,6 +451,9 @@ MALFORMED_MU = [  # (mu file, build flags, what the error names)
     ({"characteristic": 5, "n": 4, "b": ["1"], "c": "1"}, [], "mu file field 'b' must hold n - 1 = 3 values (n = 4 from mu file field 'n')"),
     ({"characteristic": 5, "b": ["1", "1"], "c": "1"}, ["--n", "4"], "mu file field 'b' must hold n - 1 = 3 values (n = 4 from --n)"),
     ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "1"}, ["--char", "2"], "--char 2 requires --force-char2"),
+    ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "1"}, ["--n", "0"], "the mu tuple needs n > 2, got n = 0 from --n"),
+    ({"characteristic": 5, "n": 1, "b": [], "c": "1"}, [], "the mu tuple needs n > 2, got n = 1 from mu file field 'n'"),
+    ({"characteristic": 5, "b": ["1"], "c": "1"}, [], "the mu tuple needs n > 2, got n = 2 from the length of mu file field 'b'"),
 ]
 
 
@@ -498,6 +501,26 @@ def test_unwritable_out_is_an_output_error(capsys, tmp_path, command):
     assert err.startswith("output error:") and repr(out) in err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_is_an_output_error(unbuffered):
+    """A reader that is gone (as after `| head -c 1`) gets one output-error line, not an input error."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "dhecke.cli", "crossval", "--n", "3", "--char", "5", "--samples", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["output error: standard output was closed"]
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -522,12 +545,15 @@ def test_out_of_range_flag_exit2(capsys, monkeypatch, argv, flag):
     assert flag in err
 
 
-def test_crossval_char2_exit2(capsys):
-    code = main(["crossval", "--n", "3", "--char", "2", "--samples", "1"])
+def test_crossval_char2_agrees(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code = main(["crossval", "--n", "3", "--char", "2", "--samples", "6", "--out", str(out_path)])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
-    assert "characteristic 2" in captured.err and "flag" not in captured.err and "--" not in captured.err
+    assert code == 0 and captured.err == ""
+    assert "6/6 agreement (all agree)" in captured.out
+    report = json.loads(out_path.read_text())
+    assert report["characteristic"] == 2 and report["all_agree"] and not report["mismatches"]
+    # crossval has no characteristic-2 flag: it is still an argparse error
     with pytest.raises(SystemExit) as exc:
         main(["crossval", "--n", "3", "--char", "2", "--force-char2"])
     assert exc.value.code == 2

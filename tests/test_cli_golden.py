@@ -12,9 +12,9 @@ appears as a confluence witness; `extract` on the S_n fixtures; `convert
 --out` with its certificate; `build`; and `normal-form --out` on short
 ladder words.  The inputs over Q carry non-integer coefficients, so their
 witnesses, `gamma` and normal forms do too.  In characteristic 2 they pin
-what runs (`build`, `check --method confluence`) and each refusal (`build
---char 2` without `--force-char2`, `check --method both`, `extract`,
-`crossval`).
+the verdicts (`check` with `--method confluence` and `both`, `crossval`),
+`build`, and the two operations that still refuse it: `build --char 2`
+without `--force-char2`, and `extract`, whose mu extraction divides by 4.
 
 After an intended change of output, rewrite the expectations with
 

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain
-
-import pytest
+from itertools import chain, product
 
 from dhecke import (
     AlgebraElement,
@@ -25,12 +23,12 @@ from dhecke import (
     golden_rule,
     is_pbw,
     lemma_suite,
+    low_dim_family,
     random_params,
     scale_params,
 )
 from dhecke import pbw
 from dhecke.linalg import column
-from dhecke.scalars import CharTwoUnsupported
 
 from conftest import build_char2_matrix_pair, sweep_grid
 
@@ -142,14 +140,36 @@ def test_perturbed_mu_fails_some_condition(F5):
         assert report.first_witness() is not None
 
 
-def test_char2_refusal():
-    lam, kap = build_char2_matrix_pair()
-    with pytest.raises(CharTwoUnsupported):
-        check_pbw(lam, kap)
-    with pytest.raises(CharTwoUnsupported):
-        check_condition(1, lam, kap)
-    with pytest.raises(CharTwoUnsupported):
-        is_pbw(lam, kap)
+def _char2_pairs():
+    """Pairs over F_2: seeded, the matrix-group fixture, golden rules and the n = 2 family."""
+    fs = FieldSpec(2)
+    for seed in range(8):
+        yield ("general", 2, seed), *random_params(2, fs, seed=seed, profile="general")
+    for n, seeds in ((3, range(6)), (4, range(2))):
+        for profile in ("general", "mu-family", "perturbed-mu"):
+            for seed in seeds:
+                yield (profile, n, seed), *random_params(n, fs, seed=seed, profile=profile)
+    yield "example_4_3", *build_char2_matrix_pair()
+    for n in (3, 4):
+        yield ("golden_rule", n), *golden_rule(n, fs)
+    for point in product((fs.zero, fs.one), repeat=4):
+        yield ("low_dim_family", point), *low_dim_family(2, point, fs)
+
+
+def test_char2_engines_agree():
+    """In characteristic 2 the five-condition test, in both modes, agrees with the oracle."""
+    verdicts = Counter()
+    fails = Counter()
+    for label, lam, kap in _char2_pairs():
+        reduced = check_pbw(lam, kap)
+        full = check_pbw(lam, kap, exhaustive=True)
+        assert (reduced.verdicts, reduced.witnesses) == (full.verdicts, full.witnesses), label
+        rs = RewriteSystem(lam, kap)
+        assert is_pbw(lam, kap) == full.pbw == rs.check_confluence(exhaustive=True)[0] == rs.is_confluent(), label
+        verdicts[full.pbw] += 1
+        fails.update(k for k, ok in full.verdicts.items() if not ok)
+    # both verdicts occur, and each of the five conditions fails somewhere
+    assert verdicts[True] and verdicts[False] and len(fails) == 5, (verdicts, fails)
 
 
 def test_condition_quantification_is_multilinear(two_scalar_n4, F7):
