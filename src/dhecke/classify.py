@@ -110,7 +110,9 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
     transposition = {ij: Perm.transposition(n, *ij) for ij in pairs}
     b = [mu.b_at(k) for k in range(1, n + 1)]  # b[k - 1] = b_k
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
+    row_of = group.rows.get
     for g in group:
+        g_row = row_of(g)
         for i in range(1, n + 1):
             coeffs: dict[GroupElement, Scalar] = {g: sum(b[(i + k - 1) % n] for k in range(g(i) - i + n))}
             for j in range(1, n + 1):
@@ -118,7 +120,7 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
                     continue
                 c = a[i, j] - a[g(i), g(j)]
                 if c:
-                    t = g * transposition[i, j]
+                    t = g_row[transposition[i, j]] if g_row else g * transposition[i, j]
                     coeffs[t] = coeffs.get(t, 0) + c
             lam_table[(g, i)] = AlgebraElement(fs, coeffs)
     a123 = mu.a_triple(1, 2, 3)

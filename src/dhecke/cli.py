@@ -119,8 +119,8 @@ def cmd_build(args) -> int:
     if args.char is not None:
         if args.char == 2 and not args.force_char2:
             raise CharTwoUnsupported(
-                "--char 2 requires --force-char2; "
-                "PBW questions in characteristic 2 go through the rewrite oracle"
+                "--char 2 requires --force-char2; the classification is stated only away from "
+                "characteristic 2, though both PBW verdicts run there"
             )
         fs = FieldSpec(args.char)
     mu = mu_from_json(data, field_spec=fs, n=args.n)
@@ -289,8 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help wrote to stdout, which may be closed
+            raise
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
         return code

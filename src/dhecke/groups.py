@@ -13,6 +13,20 @@ image ^g v_i as its nonzero (index, coefficient) pairs; a permutation's
 coefficient is the int 1, which is canonical in every field.  The parameter
 evaluators, the PBW conditions, the rewrite rules and the conversion read
 the action through it alone, so none of them branches on the element kind.
+
+A `GroupTable` keeps rows of its left multiplication table: `rows[s]` maps
+each element h to the table's own object for s h.  It keeps one row per
+generator s, |S|.|G| entries, as many products as one sweep of PBW
+condition (1) over the generators makes, and the hot loops (the conditions,
+the overlap fast paths, R1 in the rewriting engine and `build_H_mu`) look
+their products up there instead of rebuilding them.  When
+|G| <= |S|.n it keeps a row for every element: the full table has |G|^2
+entries, no more than the |S|.|G|.n instances of that sweep, and then
+every product is a look-up.  That holds for S_3 (6 <= 2.3) and for small
+matrix groups such as the order-2 group of `example_4_3`.  A product whose
+left factor has no row is computed with `*`.  The rows are the only
+product memo: a memo of every product made grows with the work, the rows
+only with the table.
 """
 
 from __future__ import annotations
@@ -233,7 +247,8 @@ class GroupTable:
     up.  The group's kind is worked out once, here: `field` is the matrix
     entries' field (None for permutations), `is_permutation_group` says
     every element is a Perm, and `is_symmetric_group` that they are all n!
-    of them.
+    of them.  `rows` holds the rows of the left multiplication table (see
+    the module docstring).
     """
 
     def __init__(self, elements: Iterable[GroupElement], n: int, generators: Sequence[GroupElement]) -> None:
@@ -261,6 +276,15 @@ class GroupTable:
         for g in self.elements:
             if g.inverse() not in self._members:
                 raise ValueError(f"enumeration not closed under inverse: {g!r}")
+        # Rows of the left multiplication table (see the module docstring).
+        heads = self.elements if len(self.elements) <= len(self.generators) * n else self.generators
+        members = self._members
+        try:
+            self.rows: dict[GroupElement, dict[GroupElement, GroupElement]] = {
+                s: {h: members[s * h] for h in self.elements} for s in heads
+            }
+        except KeyError as exc:
+            raise ValueError(f"enumeration not closed under products: {exc.args[0]!r}") from None
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -209,18 +209,21 @@ def _cond1(
     """The cocycle identity at every (g, h, i) with g in gs (default: all of G)."""
     fs = lam.field
     n = lam.n
+    row_of = lam.group.rows.get
     for g in lam.group if gs is None else gs:
+        g_row = row_of(g)
         for h in lam.group:
-            gh = g * h
+            gh = g_row[h] if g_row else g * h
             for i in range(1, n + 1):
                 # lambda(gh, v_i) - lambda(g, ^h v_i) h - g lambda(h, v_i)
                 acc = dict(lam.at(gh, i).terms)
                 for r, a in h.column(i):
                     for x, c in lam.at(g, r).terms.items():
-                        xh = x * h
+                        x_row = row_of(x)
+                        xh = x_row[h] if x_row else x * h
                         acc[xh] = acc.get(xh, 0) - a * c
                 for x, c in lam.at(h, i).terms.items():
-                    gx = g * x
+                    gx = g_row[x] if g_row else g * x
                     acc[gx] = acc.get(gx, 0) - c
                 if not fs.vanishes(acc.values()):
                     return Witness(1, g, h, (i,), AlgebraElement(fs, acc))
@@ -233,7 +236,9 @@ def _cond2(
     """kappa against lambda o lambda at every (g, i < j) with g in gs (default: all of G)."""
     fs = lam.field
     n = lam.n
+    row_of = lam.group.rows.get
     for g in lam.group if gs is None else gs:
+        g_row = row_of(g)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 # kappa(^g v_i, ^g v_j) g - g kappa(v_i, v_j)
@@ -242,10 +247,11 @@ def _cond2(
                 for r, a in g.column(i):
                     for s, b in g.column(j):
                         for x, c in kappa.at(r, s).terms.items():
-                            xg = x * g
+                            x_row = row_of(x)
+                            xg = x_row[g] if x_row else x * g
                             acc[xg] = acc.get(xg, 0) + a * b * c
                 for x, c in kappa.at(i, j).terms.items():
-                    gx = g * x
+                    gx = g_row[x] if g_row else g * x
                     acc[gx] = acc.get(gx, 0) - c
                 for k, m, sign in ((j, i, -1), (i, j, 1)):
                     for x, c in lam.at(g, k).terms.items():
@@ -256,13 +262,13 @@ def _cond2(
     return None
 
 
-def _dense(fs: FieldSpec, n: int, terms: Iterable[tuple[Scalar, Column]]) -> Vector:
-    """The sum of c * col over the (c, col) terms, as a dense canonical n-vector."""
+def _dense(fs: FieldSpec, n: int, terms: Iterable[tuple[Scalar, Column]]) -> Optional[Vector]:
+    """The sum of c * col over the (c, col) terms as a dense canonical n-vector, or None if it is 0."""
     out = [0] * n
     for c, col in terms:
         for i, x in col:
             out[i - 1] += c * x
-    return tuple(map(fs, out))
+    return None if fs.vanishes(out) else tuple(map(fs, out))
 
 
 def _cond3(
@@ -281,7 +287,7 @@ def _cond3(
                     terms = ((cv, h.column(i)), (-cv, g.column(i)))
                     terms += ((-cu, h.column(j)), (cu, g.column(j)))
                     diff = _dense(fs, n, terms)
-                    if any(diff):
+                    if diff:
                         return Witness(3, g, h, (i, j), diff)
     return None
 
@@ -299,7 +305,7 @@ def _cond4(lam: LambdaParam, kappa: KappaParam) -> Optional[Witness]:
                         c = kappa.coefficient(g, a, b)
                         terms += ((c, g.column(m)), (-c, ((m, fs.one),)))
                     total = _dense(fs, n, terms)
-                    if any(total):
+                    if total:
                         return Witness(4, g, None, (i, j, k), total)
     return None
 

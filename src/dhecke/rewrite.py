@@ -122,6 +122,28 @@ the oracle stays independent of them.
   word-length induction of `dhecke.pbw` (g = s g', positive words in S)
   then gives E(g; ., .) = 0 for every g.
 
+In default mode `_resolves_fast_gvv` decides such an overlap (g, v_j, v_i)
+first, by the rules the leftmost reducer applies.  The left parse is R2 on
+(g, v_j); the right parse is R3 on (v_j, v_i), whose kappa terms g x R1
+multiplies out, then R2 on (g, v_i).  What follows in each parse is a word
+v_r g v_w (from the main terms) or x v_w (x from a lambda term), and R2 on
+its group token gives
+
+- words v_r y and v_q x and group words z: normal;
+- words v_r v_q g: R3 when r > q, whose kappa(v_q, v_r) g terms R1
+  multiplies out.
+
+Every word past the first step has at most one redex, so its reduction is
+forced and the leftmost normal form is the only one.  `normal_form` is
+linear in words (see above), so the normal form of each parse is the sum of
+those of its terms, which is the sum the closed form builds, keyed by
+normal word.  The sorted words v_min(r,q) v_max(r,q) g come out of both
+parses with the same coefficients, the products of the entries of columns
+i and j of g, and cancel; only R3's kappa terms of them are kept.  The
+count of rule applications bounds that of each parse, as above, and a
+difference or a count past `step_budget` sends the overlap to the general
+reducer, which decides it and writes the witness.
+
 So by default `overlap_words` lists the group-group-var and group-var-var
 words for g in S only: |S|.|G|.n + |S|.C(n,2) + C(n,3) overlaps instead of
 |G|^2.n + |G|.C(n,2) + C(n,3).  When one of them fails, `check_confluence`
@@ -225,6 +247,8 @@ class RewriteSystem:
         self.step_budget = step_budget
         # R2's right-hand side per (g, i), see _r2_rhs.
         self._r2: dict[tuple[GroupElement, int], list[tuple[Word, Scalar, int]]] = {}
+        # The row of g h over h, or None: R1 looks its products up (see dhecke.groups).
+        self._row_of = self.group.rows.get
 
     # -- rules ---------------------------------------------------------------
 
@@ -262,7 +286,8 @@ class RewriteSystem:
         pre, post = word[:pos], word[pos + 2 :]
         a, b = word[pos], word[pos + 1]
         if not _is_var(a) and not _is_var(b):
-            return [(pre + (a * b,) + post, 1, 0)]
+            row = self._row_of(a)
+            return [(pre + (row[b] if row else a * b,) + post, 1, 0)]
         if not _is_var(a):
             return [(pre + mid + post, c, drop) for mid, c, drop in self._r2_rhs(a, b)]
         j, i = a, b
@@ -287,6 +312,7 @@ class RewriteSystem:
         p = self.field.characteristic
         budget = self.step_budget
         group_only = (0,) * self.n
+        row_of = self._row_of
         items = x.items() if isinstance(x, dict) else x
         out: dict[NormalMonomial, Scalar] = {}
         # layers[d] sums the words of v-degree d > 0 that wait to be reduced.
@@ -303,7 +329,8 @@ class RewriteSystem:
             # A pure group word: R1 multiplies it out, one step per product.
             g = word[0] if word else self.group.identity
             for h in word[1:]:
-                g = g * h
+                row = row_of(g)
+                g = row[h] if row else g * h
             steps += max(len(word) - 1, 0)
             if steps > budget:
                 raise StepBudgetExceeded(f"exceeded {budget} reduction steps")
@@ -379,7 +406,9 @@ class RewriteSystem:
         the rule count passes the step budget; the general reducer then decides.
         """
         s, h, i = word
-        sh = s * h
+        row_of = self._row_of
+        s_row = row_of(s)
+        sh = s_row[h] if s_row else s * h
         # The words (v_r, sh) and (x,) are told apart by their first token.
         diff: dict[Token, Scalar] = {}
         steps = 3  # R1 on (s, h), R2 on (sh, v_i), R2 on (h, v_i)
@@ -388,23 +417,66 @@ class RewriteSystem:
         for mid, c, drop in self._r2_rhs(h, i):
             steps += 1
             if drop:  # s lambda(h, v_i): R1
-                x = s * mid[0]
+                x = s_row[mid[0]] if s_row else s * mid[0]
                 diff[x] = diff.get(x, 0) - c
                 continue
             for mid2, c2, drop2 in self._r2_rhs(s, mid[0]):  # R2 on (s, v_r), then R1
                 steps += 1
-                t = mid2[0] * h if drop2 else mid2[0]
+                t = mid2[0]
+                if drop2:
+                    t_row = row_of(t)
+                    t = t_row[h] if t_row else t * h
                 diff[t] = diff.get(t, 0) - c * c2
+        return steps <= self.step_budget and self.field.vanishes(diff.values())
+
+    def _resolves_fast_gvv(self, word: Word) -> bool:
+        """Whether the group-var-var overlap (g, v_j, v_i) resolves, by its few rules alone.
+
+        As `_resolves_fast`, with the rules of the module docstring; the
+        difference is summed by normal word.
+        """
+        g, j, i = word
+        row_of = self._row_of
+        g_row = row_of(g)
+        diff: dict[Word, Scalar] = {}
+        # The right parse starts with R3 on (v_j, v_i): R1 on each g kappa(v_i, v_j).
+        kappa_ij = self.kappa.at(i, j).terms
+        for x, c in kappa_ij.items():
+            gx = (g_row[x] if g_row else g * x,)
+            diff[gx] = diff.get(gx, 0) + c
+        steps = 3 + len(kappa_ij)  # R2 on (g, v_j); R3 on (v_j, v_i), R2 on (g, v_i); the R1s
+        # Each parse moves g past its first letter v_u, then what stands left of
+        # v_w past v_w: the left parse (+) has u, w = j, i, the right (-) i, j.
+        for u, w, sign in ((j, i, 1), (i, j, -1)):
+            for mid, c, _ in self._r2_rhs(g, u):  # v_r g or x in lambda(g, v_u)
+                steps += 1
+                for mid2, c2, _ in self._r2_rhs(mid[-1], w):
+                    word2 = mid[:-1] + mid2
+                    k = sign * c * c2
+                    if len(word2) < 3:  # v_r y, v_q x or z: normal words
+                        diff[word2] = diff.get(word2, 0) + k
+                        continue
+                    r, q, _ = word2  # v_r v_q g; the sorted words cancel between the parses
+                    if r > q:  # R3, then R1 on each kappa(v_q, v_r) g
+                        kappa_qr = self.kappa.at(q, r).terms
+                        steps += 1 + len(kappa_qr)
+                        for y, e in kappa_qr.items():
+                            y_row = row_of(y)
+                            yg = (y_row[g] if y_row else y * g,)
+                            diff[yg] = diff.get(yg, 0) - k * e
         return steps <= self.step_budget and self.field.vanishes(diff.values())
 
     def _resolve(self, family: str, word: Word, fast: bool = False) -> Optional[OverlapWitness]:
         """Reduce both parses of an overlap; their difference if they disagree.
 
-        With `fast`, a group-group-var overlap is first tried by
-        `_resolves_fast`; the general reducer still gives every witness.
+        With `fast`, a group-group-var or group-var-var overlap is first
+        tried by `_resolves_fast` or `_resolves_fast_gvv`; the general
+        reducer still gives every witness.
         """
-        if fast and family == "group-group-var" and self._resolves_fast(word):
-            return None
+        if fast and family != "var-var-var":
+            resolves = self._resolves_fast if family == "group-group-var" else self._resolves_fast_gvv
+            if resolves(word):
+                return None
         try:
             left = self.normal_form((w, c) for w, c, _ in self._apply_rule(word, 0))
             right = self.normal_form((w, c) for w, c, _ in self._apply_rule(word, 1))

@@ -183,3 +183,40 @@ def fixtures_dir():
 def load_fixture(name: str):
     with open(FIXTURES / name, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def matrix_group_pairs():
+    """Seeded pairs on matrix groups whose columns hold coefficients other than 1.
+
+    lambda is the coboundary g phi(v) - phi(^g v) g of a seeded phi, which
+    satisfies (1); odd seeds add one random term, which breaks it.  kappa
+    has a random term on about half the pairs i < j.
+    """
+    generators = (
+        (0, [[[0, -1], [1, 1]]]),  # a rotation of order 6
+        (5, [[[2, 0], [0, 3]], [[0, 1], [1, 0]]]),  # order 8
+        (7, [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]),  # order 24
+    )
+    for p, gens in generators:
+        fs = FieldSpec(p)
+        group = enumerate_group([MatrixElement(fs, [[fs(x) for x in row] for row in g]) for g in gens])
+        n = group.n
+        for seed in range(4):
+            rng = random.Random(f"matrix pair|p={p}|seed={seed}")
+
+            def term():
+                return AlgebraElement.term(fs, rng.choice(group.elements), fs(rng.choice((1, 2, -1))))
+
+            phi = {i: term() for i in range(1, n + 1)}
+            table = {}
+            for g in group:
+                for i in range(1, n + 1):
+                    moved = AlgebraElement(fs)
+                    for r, c in g.column(i):
+                        moved = moved + phi[r].scale(c)
+                    table[(g, i)] = phi[i].mul_left(g) - moved.mul_right(g)
+            if seed % 2:
+                key = (rng.choice(group.elements), rng.randint(1, n))
+                table[key] = table.get(key, AlgebraElement(fs)) + term()
+            kap = {(i, j): term() for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5}
+            yield (p, len(group), seed), LambdaParam(group, fs, table), KappaParam(fs, n, kap)

@@ -501,9 +501,8 @@ def test_unwritable_out_is_an_output_error(capsys, tmp_path, command):
     assert err.startswith("output error:") and repr(out) in err
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_stdout_is_an_output_error(unbuffered):
-    """A reader that is gone (as after `| head -c 1`) gets one output-error line, not an input error."""
+def _on_closed_stdout(argv, unbuffered=False):
+    """Runs `python -m dhecke.cli ARGV` writing to a pipe whose read end is closed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(FIXTURES.parent / "src")
     if unbuffered:
@@ -511,12 +510,29 @@ def test_closed_stdout_is_an_output_error(unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "dhecke.cli", "crossval", "--n", "3", "--char", "5", "--samples", "3"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        return subprocess.run(
+            [sys.executable, "-m", "dhecke.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, text=True
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_is_an_output_error(unbuffered):
+    """A reader that is gone (as after `| head -c 1`) gets one output-error line, not an input error."""
+    done = _on_closed_stdout(["crossval", "--n", "3", "--char", "5", "--samples", "3"], unbuffered)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["output error: standard output was closed"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_on_closed_stdout_is_an_output_error(argv):
+    """--help writes before any command runs; a closed stdout still gives one output-error line.
+
+    With buffered stdout the write fails only at the flush.  (Unbuffered,
+    argparse ignores the failed write itself and exits 0.)
+    """
+    done = _on_closed_stdout(argv)
     assert done.returncode == 2
     assert done.stderr.splitlines() == ["output error: standard output was closed"]
 

@@ -19,7 +19,7 @@ from dhecke import (
 from dhecke.groups import ClosureCapExceeded, GroupTable
 from dhecke.linalg import same_subspace
 
-from conftest import load_fixture
+from conftest import build_char2_matrix_pair, load_fixture, matrix_group_pairs
 
 
 def test_compose_convention():
@@ -128,6 +128,27 @@ def test_group_table_generators_membership():
     assert GroupTable(elements, 3, gens).generators == tuple(gens)
     with pytest.raises(ValueError):
         GroupTable(elements, 3, [Perm([2, 1])])
+
+
+def test_group_table_rows_are_its_own_products():
+    """rows[g][h] is the table's own g * h: one row per generator, or per element when |G| <= |S| n."""
+    tables = [symmetric_group(n) for n in (3, 4, 5)]
+    tables += list({id(lam.group): lam.group for _, lam, _ in matrix_group_pairs()}.values())
+    tables += [build_char2_matrix_pair()[0].group, params_from_json(load_fixture("example_4_3.json"))[0].group]
+    small = []
+    for table in tables:
+        members = {id(g) for g in table}
+        for g, row in table.rows.items():
+            assert list(row) == list(table)
+            for h, gh in row.items():
+                assert gh == g * h and id(gh) in members
+        small.append(len(table) <= len(table.generators) * table.n)
+        assert set(table.rows) == set(table if small[-1] else table.generators)
+    assert small == [True, False, False, False, False, False, True, True]
+    # The rows also check that the enumeration is closed under products.
+    elements = [Perm.identity(3), Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 3))]
+    with pytest.raises(ValueError, match="not closed under products"):
+        GroupTable(elements, 3, elements[1:])
 
 
 def test_group_table_kind_from_elements():

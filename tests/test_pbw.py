@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from collections import Counter
 from itertools import chain, product
 
@@ -30,7 +29,7 @@ from dhecke import (
 from dhecke import pbw
 from dhecke.linalg import column
 
-from conftest import build_char2_matrix_pair, sweep_grid
+from conftest import build_char2_matrix_pair, matrix_group_pairs, sweep_grid
 
 
 def test_zero_pair_passes(F5, S3):
@@ -335,43 +334,6 @@ def _report_json(report):
     return report.verdicts, {k: w.to_json() for k, w in report.witnesses.items()}
 
 
-def _matrix_group_pairs():
-    """Seeded pairs on matrix groups whose columns hold coefficients other than 1.
-
-    lambda is the coboundary g phi(v) - phi(^g v) g of a seeded phi, which
-    satisfies (1); odd seeds add one random term, which breaks it.  kappa
-    has a random term on about half the pairs i < j.
-    """
-    generators = (
-        (0, [[[0, -1], [1, 1]]]),  # a rotation of order 6
-        (5, [[[2, 0], [0, 3]], [[0, 1], [1, 0]]]),  # order 8
-        (7, [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]),  # order 24
-    )
-    for p, gens in generators:
-        fs = FieldSpec(p)
-        group = enumerate_group([MatrixElement(fs, [[fs(x) for x in row] for row in g]) for g in gens])
-        n = group.n
-        for seed in range(4):
-            rng = random.Random(f"matrix pair|p={p}|seed={seed}")
-
-            def term():
-                return AlgebraElement.term(fs, rng.choice(group.elements), fs(rng.choice((1, 2, -1))))
-
-            phi = {i: term() for i in range(1, n + 1)}
-            table = {}
-            for g in group:
-                for i in range(1, n + 1):
-                    moved = AlgebraElement(fs)
-                    for r, c in g.column(i):
-                        moved = moved + phi[r].scale(c)
-                    table[(g, i)] = phi[i].mul_left(g) - moved.mul_right(g)
-            if seed % 2:
-                key = (rng.choice(group.elements), rng.randint(1, n))
-                table[key] = table.get(key, AlgebraElement(fs)) + term()
-            kap = {(i, j): term() for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5}
-            yield (p, len(group), seed), LambdaParam(group, fs, table), KappaParam(fs, n, kap)
-
-
 def test_plain_dict_conditions_match_algebra_element_reference(monkeypatch):
     """Conditions (1) and (2) give the reference verdicts and witness JSON.
 
@@ -379,7 +341,7 @@ def test_plain_dict_conditions_match_algebra_element_reference(monkeypatch):
     exhaustive mode, where the exhaustive report holds every witness on G.
     """
     fails = Counter()
-    for label, lam, kap in chain(sweep_grid(), _matrix_group_pairs()):
+    for label, lam, kap in chain(sweep_grid(), matrix_group_pairs()):
         gens = lam.group.generators
         for k, reference in ((1, _reference_cond1), (2, _reference_cond2)):
             w, ref = pbw._CONDITIONS[k](lam, kap, gens), reference(lam, kap, gens)

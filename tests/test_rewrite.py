@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from itertools import chain
 from math import comb
 
 import pytest
@@ -27,7 +28,7 @@ from dhecke import (
 )
 from dhecke.rewrite import MAX_WORD_TOKENS, StepBudgetExceeded, format_word, ranking
 
-from conftest import build_char2_matrix_pair, load_fixture, sweep_grid, unit_block_mu
+from conftest import build_char2_matrix_pair, load_fixture, matrix_group_pairs, sweep_grid, unit_block_mu
 
 
 def nf_of_word(rs, word, coeff=None):
@@ -393,16 +394,57 @@ def test_group_group_var_fast_path_matches_general_reducer():
     assert verdicts[True] and verdicts[False], verdicts
 
 
+def test_group_var_var_fast_path_matches_general_reducer():
+    """On every group-var-var word, the closed form resolves exactly when both normal forms agree.
+
+    Also on matrix groups whose columns hold coefficients other than 1.
+    """
+    verdicts = Counter()
+    for label, lam, kap in chain(_fast_path_pairs(), matrix_group_pairs()):
+        rs = RewriteSystem(lam, kap)
+        for family, word in rs.overlap_words(exhaustive=True):
+            if family == "group-var-var":
+                resolves = rs._resolve(family, word) is None
+                assert rs._resolves_fast_gvv(word) == resolves, (label, format_word(word))
+                verdicts[resolves] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_group_var_var_budget_overrun_names_the_overlap(F5):
+    """A budget below a group-var-var overlap's rules sends it to the general reducer, which names it.
+
+    With lambda = 0 each parse of a group-group-var overlap applies at most
+    two rules, so those pass the budget of 3.  The left parse of the first
+    group-var-var overlap (s, v_3, v_2), s = (1 2), applies four: R2 on
+    (s, v_2), R3 on (v_3, v_1), and R1 on the two terms of kappa(v_1, v_3).
+    """
+    _, kap = random_params(3, F5, seed=2, profile="mu-family")
+    assert len(kap.at(1, 3).terms) == 2
+    rs = RewriteSystem(LambdaParam(symmetric_group(3), F5), kap, step_budget=3)
+    for family, word in rs.overlap_words():
+        if family == "group-group-var":
+            rs._resolve(family, word)
+    word = (Perm([2, 1, 3]), 3, 2)
+    assert ("group-var-var", word) == next(fw for fw in rs.overlap_words() if fw[0] == "group-var-var")
+    with pytest.raises(StepBudgetExceeded) as general:
+        rs._resolve("group-var-var", word)
+    message = "exceeded 3 reduction steps while resolving the group-var-var overlap g[2,1,3] v3 v2"
+    assert str(general.value) == message
+    for verdict in (rs.is_confluent, rs.check_confluence):
+        with pytest.raises(StepBudgetExceeded, match=re.escape(message)):
+            verdict()
+
+
 def test_fast_path_leaves_normal_form_to_the_other_families(F5):
-    """A PBW pair calls normal_form twice per group-var-var and var-var-var overlap, and no more."""
+    """A PBW pair calls normal_form twice per var-var-var overlap, and no more."""
     lam, kap = random_params(4, F5, seed=2, profile="mu-family")
     rs = RewriteSystem(lam, kap)
     calls = Counter()
     normal_form = rs.normal_form
     rs.normal_form = lambda *args: calls.update(["nf"]) or normal_form(*args)
     assert rs.check_confluence() == (True, None)
-    others = [w for f, w in rs.overlap_words() if f != "group-group-var"]
-    assert calls["nf"] == 2 * len(others) == 2 * (2 * comb(4, 2) + comb(4, 3))
+    others = [w for f, w in rs.overlap_words() if f == "var-var-var"]
+    assert calls["nf"] == 2 * len(others) == 2 * comb(4, 3)
     calls.clear()
     assert rs.check_confluence(exhaustive=True) == (True, None)
     assert calls["nf"] == 2 * len(rs.overlap_words(exhaustive=True))
