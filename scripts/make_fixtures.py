@@ -44,18 +44,16 @@ def render(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def unit_block_params(n: int, p: int):
-    fs = FieldSpec(p)
-    mu = MuParams(fs, n, {}, (fs.one,) * (n - 1), fs.one)
-    lam, kap = build_H_mu(mu)
-    return params_to_json(lam, kap)
+def unit_block_mu(fs: FieldSpec, n: int) -> MuParams:
+    """mu = (a=0, b_k=1, c=1): golden-rule lambda with unit 3-cycle blocks."""
+    return MuParams(fs, n, {}, (fs.one,) * (n - 1), fs.one)
 
 
-def two_scalar_n4():
-    fs = FieldSpec(7)
+def two_scalar_n4(fs: FieldSpec, m: int = 1, mp: int = 2):
+    """The two-scalar n=4 deformation with scalars m and m', built from its defining relations."""
     n = 4
     group = symmetric_group(n)
-    m, mp = fs(1), fs(2)
+    m, mp = fs(m), fs(mp)
     a = {(i, j): fs.zero for i in range(1, 5) for j in range(1, 5) if i != j}
     a[(1, 2)], a[(2, 1)] = m, -m
     a[(1, 3)], a[(3, 1)] = m, -m
@@ -80,26 +78,27 @@ def two_scalar_n4():
     msq = m * m
     block = AlgebraElement(fs, {c132: msq, c123: -msq})
     kap = KappaParam(fs, n, {(1, 2): block, (2, 3): block, (1, 3): -block})
-    return params_to_json(lam, kap)
+    return lam, kap
 
 
 def char2_matrix_pair():
+    """Z/2Z generated by [[1,1],[0,1]] over F_2: gw = vg + wg + 1, vw - wv = g."""
     fs = FieldSpec(2)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
     group = enumerate_group([g])
     lam = LambdaParam(group, fs, {(g, 2): AlgebraElement.term(fs, group.identity)})
     kap = KappaParam(fs, 2, {(1, 2): AlgebraElement.term(fs, g)})
-    return params_to_json(lam, kap)
+    return lam, kap
 
 
 def fixtures() -> dict[str, dict]:
     """Each fixture file name with the parameter-file JSON it holds."""
     fs5, fs7 = FieldSpec(5), FieldSpec(7)
     return {
-        "example_1_1_n3.json": unit_block_params(3, 5),
-        "example_1_1_n4.json": unit_block_params(4, 5),
-        "example_3_4.json": two_scalar_n4(),
-        "example_4_3.json": char2_matrix_pair(),
+        "example_1_1_n3.json": params_to_json(*build_H_mu(unit_block_mu(fs5, 3))),
+        "example_1_1_n4.json": params_to_json(*build_H_mu(unit_block_mu(fs5, 4))),
+        "example_3_4.json": params_to_json(*two_scalar_n4(fs7)),
+        "example_4_3.json": params_to_json(*char2_matrix_pair()),
         "golden_rule.json": params_to_json(*golden_rule(3, fs7)),
         "s8_n2_family.json": params_to_json(*low_dim_family(2, (fs5.one, fs5.one), fs5)),
     }

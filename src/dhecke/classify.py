@@ -15,6 +15,7 @@ which the test suite checks rather than assumes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .groups import GroupElement, Perm, symmetric_group
@@ -100,19 +101,22 @@ class MuParams:
         return MuParams(field_spec, n, {}, (field_spec.zero,) * (n - 1), field_spec.zero)
 
 
+@lru_cache(maxsize=None)
+def _transpositions(n: int) -> dict[tuple[int, int], Perm]:
+    return {(i, j): Perm.transposition(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+
+
 def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
     """Expand a mu tuple into full (lambda, kappa) tables over S_n."""
     fs = mu.field
     n = mu.n
     group = symmetric_group(n)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    a = {ij: mu.a_at(*ij) for ij in pairs}
-    transposition = {ij: Perm.transposition(n, *ij) for ij in pairs}
+    product = group.product
+    transposition = _transpositions(n)
+    a = {ij: mu.a_at(*ij) for ij in transposition}
     b = [mu.b_at(k) for k in range(1, n + 1)]  # b[k - 1] = b_k
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
-    row_of = group.rows.get
     for g in group:
-        g_row = row_of(g)
         for i in range(1, n + 1):
             coeffs: dict[GroupElement, Scalar] = {g: sum(b[(i + k - 1) % n] for k in range(g(i) - i + n))}
             for j in range(1, n + 1):
@@ -120,7 +124,7 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
                     continue
                 c = a[i, j] - a[g(i), g(j)]
                 if c:
-                    t = g_row[transposition[i, j]] if g_row else g * transposition[i, j]
+                    t = product(g, transposition[i, j])
                     coeffs[t] = coeffs.get(t, 0) + c
             lam_table[(g, i)] = AlgebraElement(fs, coeffs)
     a123 = mu.a_triple(1, 2, 3)
@@ -133,8 +137,8 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
                     continue
                 c = fs(mu.c - a123 + mu.a_triple(i, j, k))
                 if c:
-                    fwd = Perm.from_cycles(n, (i, j, k))
-                    bwd = Perm.from_cycles(n, (i, k, j))
+                    fwd = product(transposition[i, k], transposition[i, j])  # (i j k)
+                    bwd = product(transposition[i, j], transposition[i, k])  # (i k j)
                     coeffs[fwd] = coeffs.get(fwd, 0) + c
                     coeffs[bwd] = coeffs.get(bwd, 0) - c
             kap_table[(i, j)] = AlgebraElement(fs, coeffs)

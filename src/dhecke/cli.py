@@ -238,8 +238,14 @@ def cmd_crossval(args) -> int:
     return 0 if all_agree else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's own print_help ignores an OSError of the write: --help to a closed stdout would exit 0.
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dhecke",
         description="Construct, verify, and classify PBW deformations of S(V)#G.",
     )

@@ -14,19 +14,18 @@ coefficient is the int 1, which is canonical in every field.  The parameter
 evaluators, the PBW conditions, the rewrite rules and the conversion read
 the action through it alone, so none of them branches on the element kind.
 
-A `GroupTable` keeps rows of its left multiplication table: `rows[s]` maps
-each element h to the table's own object for s h.  It keeps one row per
-generator s, |S|.|G| entries, as many products as one sweep of PBW
-condition (1) over the generators makes, and the hot loops (the conditions,
-the overlap fast paths, R1 in the rewriting engine and `build_H_mu`) look
-their products up there instead of rebuilding them.  When
-|G| <= |S|.n it keeps a row for every element: the full table has |G|^2
-entries, no more than the |S|.|G|.n instances of that sweep, and then
-every product is a look-up.  That holds for S_3 (6 <= 2.3) and for small
-matrix groups such as the order-2 group of `example_4_3`.  A product whose
-left factor has no row is computed with `*`.  The rows are the only
-product memo: a memo of every product made grows with the work, the rows
-only with the table.
+Every engine product (the conditions, the overlap fast paths, R1 in the
+rewriting engine and `build_H_mu`) goes through `GroupTable.product`.  It
+looks s h up in a row of the table's left multiplication table, which maps
+each h to the table's own object for s h, or computes it with `*` when s
+has no row.  The table keeps one row per generator s, |S|.|G| entries, as
+many products as one sweep of PBW condition (1) over the generators makes.
+When |G| <= |S|.n it keeps a row for every element: the full table has
+|G|^2 entries, no more than the |S|.|G|.n instances of that sweep, and
+then every product is a look-up.  That holds for S_3 (6 <= 2.3) and for
+small matrix groups such as the order-2 group of `example_4_3`.  The rows
+are the only product memo: a memo of every product made grows with the
+work, the rows only with the table.
 """
 
 from __future__ import annotations
@@ -247,8 +246,7 @@ class GroupTable:
     up.  The group's kind is worked out once, here: `field` is the matrix
     entries' field (None for permutations), `is_permutation_group` says
     every element is a Perm, and `is_symmetric_group` that they are all n!
-    of them.  `rows` holds the rows of the left multiplication table (see
-    the module docstring).
+    of them.  `product` multiplies two elements (see the module docstring).
     """
 
     def __init__(self, elements: Iterable[GroupElement], n: int, generators: Sequence[GroupElement]) -> None:
@@ -280,7 +278,7 @@ class GroupTable:
         heads = self.elements if len(self.elements) <= len(self.generators) * n else self.generators
         members = self._members
         try:
-            self.rows: dict[GroupElement, dict[GroupElement, GroupElement]] = {
+            self._rows: dict[GroupElement, dict[GroupElement, GroupElement]] = {
                 s: {h: members[s * h] for h in self.elements} for s in heads
             }
         except KeyError as exc:
@@ -294,6 +292,11 @@ class GroupTable:
 
     def __contains__(self, g: GroupElement) -> bool:
         return g in self._members
+
+    def product(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        """g h: the table's own object when g has a row, else `g * h`."""
+        row = self._rows.get(g)
+        return row[h] if row else g * h
 
     def lookup(self, data) -> GroupElement | None:
         """The table's own permutation whose one-line images are `data`, or None.
@@ -310,9 +313,7 @@ class GroupTable:
         """s_k = (k k+1) for k < n, and s_n = (n 1); indices wrap modulo n."""
         n = self.n
         k = (k - 1) % n + 1
-        if k == n:
-            return Perm.from_cycles(n, (n, 1))
-        return Perm.from_cycles(n, (k, k + 1))
+        return Perm.from_cycles(n, (k, k % n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -209,21 +209,19 @@ def _cond1(
     """The cocycle identity at every (g, h, i) with g in gs (default: all of G)."""
     fs = lam.field
     n = lam.n
-    row_of = lam.group.rows.get
+    product = lam.group.product
     for g in lam.group if gs is None else gs:
-        g_row = row_of(g)
         for h in lam.group:
-            gh = g_row[h] if g_row else g * h
+            gh = product(g, h)
             for i in range(1, n + 1):
                 # lambda(gh, v_i) - lambda(g, ^h v_i) h - g lambda(h, v_i)
                 acc = dict(lam.at(gh, i).terms)
                 for r, a in h.column(i):
                     for x, c in lam.at(g, r).terms.items():
-                        x_row = row_of(x)
-                        xh = x_row[h] if x_row else x * h
+                        xh = product(x, h)
                         acc[xh] = acc.get(xh, 0) - a * c
                 for x, c in lam.at(h, i).terms.items():
-                    gx = g_row[x] if g_row else g * x
+                    gx = product(g, x)
                     acc[gx] = acc.get(gx, 0) - c
                 if not fs.vanishes(acc.values()):
                     return Witness(1, g, h, (i,), AlgebraElement(fs, acc))
@@ -236,9 +234,8 @@ def _cond2(
     """kappa against lambda o lambda at every (g, i < j) with g in gs (default: all of G)."""
     fs = lam.field
     n = lam.n
-    row_of = lam.group.rows.get
+    product = lam.group.product
     for g in lam.group if gs is None else gs:
-        g_row = row_of(g)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 # kappa(^g v_i, ^g v_j) g - g kappa(v_i, v_j)
@@ -247,11 +244,10 @@ def _cond2(
                 for r, a in g.column(i):
                     for s, b in g.column(j):
                         for x, c in kappa.at(r, s).terms.items():
-                            x_row = row_of(x)
-                            xg = x_row[g] if x_row else x * g
+                            xg = product(x, g)
                             acc[xg] = acc.get(xg, 0) + a * b * c
                 for x, c in kappa.at(i, j).terms.items():
-                    gx = g_row[x] if g_row else g * x
+                    gx = product(g, x)
                     acc[gx] = acc.get(gx, 0) - c
                 for k, m, sign in ((j, i, -1), (i, j, 1)):
                     for x, c in lam.at(g, k).terms.items():

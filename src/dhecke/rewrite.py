@@ -247,8 +247,6 @@ class RewriteSystem:
         self.step_budget = step_budget
         # R2's right-hand side per (g, i), see _r2_rhs.
         self._r2: dict[tuple[GroupElement, int], list[tuple[Word, Scalar, int]]] = {}
-        # The row of g h over h, or None: R1 looks its products up (see dhecke.groups).
-        self._row_of = self.group.rows.get
 
     # -- rules ---------------------------------------------------------------
 
@@ -286,8 +284,7 @@ class RewriteSystem:
         pre, post = word[:pos], word[pos + 2 :]
         a, b = word[pos], word[pos + 1]
         if not _is_var(a) and not _is_var(b):
-            row = self._row_of(a)
-            return [(pre + (row[b] if row else a * b,) + post, 1, 0)]
+            return [(pre + (self.group.product(a, b),) + post, 1, 0)]
         if not _is_var(a):
             return [(pre + mid + post, c, drop) for mid, c, drop in self._r2_rhs(a, b)]
         j, i = a, b
@@ -312,7 +309,7 @@ class RewriteSystem:
         p = self.field.characteristic
         budget = self.step_budget
         group_only = (0,) * self.n
-        row_of = self._row_of
+        product = self.group.product
         items = x.items() if isinstance(x, dict) else x
         out: dict[NormalMonomial, Scalar] = {}
         # layers[d] sums the words of v-degree d > 0 that wait to be reduced.
@@ -329,8 +326,7 @@ class RewriteSystem:
             # A pure group word: R1 multiplies it out, one step per product.
             g = word[0] if word else self.group.identity
             for h in word[1:]:
-                row = row_of(g)
-                g = row[h] if row else g * h
+                g = product(g, h)
             steps += max(len(word) - 1, 0)
             if steps > budget:
                 raise StepBudgetExceeded(f"exceeded {budget} reduction steps")
@@ -406,9 +402,8 @@ class RewriteSystem:
         the rule count passes the step budget; the general reducer then decides.
         """
         s, h, i = word
-        row_of = self._row_of
-        s_row = row_of(s)
-        sh = s_row[h] if s_row else s * h
+        product = self.group.product
+        sh = product(s, h)
         # The words (v_r, sh) and (x,) are told apart by their first token.
         diff: dict[Token, Scalar] = {}
         steps = 3  # R1 on (s, h), R2 on (sh, v_i), R2 on (h, v_i)
@@ -417,15 +412,14 @@ class RewriteSystem:
         for mid, c, drop in self._r2_rhs(h, i):
             steps += 1
             if drop:  # s lambda(h, v_i): R1
-                x = s_row[mid[0]] if s_row else s * mid[0]
+                x = product(s, mid[0])
                 diff[x] = diff.get(x, 0) - c
                 continue
             for mid2, c2, drop2 in self._r2_rhs(s, mid[0]):  # R2 on (s, v_r), then R1
                 steps += 1
                 t = mid2[0]
                 if drop2:
-                    t_row = row_of(t)
-                    t = t_row[h] if t_row else t * h
+                    t = product(t, h)
                 diff[t] = diff.get(t, 0) - c * c2
         return steps <= self.step_budget and self.field.vanishes(diff.values())
 
@@ -436,13 +430,12 @@ class RewriteSystem:
         difference is summed by normal word.
         """
         g, j, i = word
-        row_of = self._row_of
-        g_row = row_of(g)
+        product = self.group.product
         diff: dict[Word, Scalar] = {}
         # The right parse starts with R3 on (v_j, v_i): R1 on each g kappa(v_i, v_j).
         kappa_ij = self.kappa.at(i, j).terms
         for x, c in kappa_ij.items():
-            gx = (g_row[x] if g_row else g * x,)
+            gx = (product(g, x),)
             diff[gx] = diff.get(gx, 0) + c
         steps = 3 + len(kappa_ij)  # R2 on (g, v_j); R3 on (v_j, v_i), R2 on (g, v_i); the R1s
         # Each parse moves g past its first letter v_u, then what stands left of
@@ -461,8 +454,7 @@ class RewriteSystem:
                         kappa_qr = self.kappa.at(q, r).terms
                         steps += 1 + len(kappa_qr)
                         for y, e in kappa_qr.items():
-                            y_row = row_of(y)
-                            yg = (y_row[g] if y_row else y * g,)
+                            yg = (product(y, g),)
                             diff[yg] = diff.get(yg, 0) - k * e
         return steps <= self.step_budget and self.field.vanishes(diff.values())
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from pathlib import Path
@@ -12,8 +13,6 @@ from dhecke import (
     KappaParam,
     LambdaParam,
     MatrixElement,
-    MuParams,
-    Perm,
     build_H_mu,
     enumerate_group,
     random_params,
@@ -21,6 +20,14 @@ from dhecke import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# The fixture builders of scripts/make_fixtures.py, which writes fixtures/ from them.
+_spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES.parent / "scripts" / "make_fixtures.py")
+make_fixtures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_fixtures)
+unit_block_mu = make_fixtures.unit_block_mu
+build_two_scalar_n4 = make_fixtures.two_scalar_n4
+build_char2_matrix_pair = make_fixtures.char2_matrix_pair
 
 
 @pytest.fixture(scope="session")
@@ -53,11 +60,6 @@ def S4():
     return symmetric_group(4)
 
 
-def unit_block_mu(fs: FieldSpec, n: int) -> MuParams:
-    """mu = (a=0, b_k=1, c=1): golden-rule lambda with unit 3-cycle blocks."""
-    return MuParams(fs, n, {}, (fs.one,) * (n - 1), fs.one)
-
-
 @pytest.fixture()
 def unit_block_n3(F5):
     return build_H_mu(unit_block_mu(F5, 3))
@@ -68,51 +70,9 @@ def unit_block_n4(F5):
     return build_H_mu(unit_block_mu(F5, 4))
 
 
-def build_two_scalar_n4(fs: FieldSpec, m_val: int = 1, mp_val: int = 2):
-    """The two-scalar n=4 deformation, built from its defining relations."""
-    n = 4
-    group = symmetric_group(n)
-    m, mp = fs(m_val), fs(mp_val)
-    a = {(i, j): fs.zero for i in range(1, 5) for j in range(1, 5) if i != j}
-    a[(1, 2)], a[(2, 1)] = m, -m
-    a[(1, 3)], a[(3, 1)] = m, -m
-    a[(2, 3)], a[(3, 2)] = mp, -mp
-    lam_table = {}
-    for g in group:
-        for i in range(1, n + 1):
-            coeffs = {}
-            for j in range(1, n + 1):
-                if j == i:
-                    continue
-                c = a[(i, j)] - a[(g(i), g(j))]
-                if c:
-                    t = g * Perm.transposition(n, i, j)
-                    coeffs[t] = coeffs.get(t, fs.zero) + c
-            val = AlgebraElement(fs, coeffs)
-            if not val.is_zero():
-                lam_table[(g, i)] = val
-    lam = LambdaParam(group, fs, lam_table)
-    c123 = Perm.from_cycles(n, (1, 2, 3))
-    c132 = Perm.from_cycles(n, (1, 3, 2))
-    msq = m * m
-    block = AlgebraElement(fs, {c132: msq, c123: -msq})
-    kap = KappaParam(fs, n, {(1, 2): block, (2, 3): block, (1, 3): -block})
-    return lam, kap
-
-
 @pytest.fixture()
 def two_scalar_n4(F7):
     return build_two_scalar_n4(F7)
-
-
-def build_char2_matrix_pair():
-    """Z/2Z generated by [[1,1],[0,1]] over F_2: gw = vg + wg + 1, vw - wv = g."""
-    fs = FieldSpec(2)
-    g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
-    group = enumerate_group([g])
-    lam = LambdaParam(group, fs, {(g, 2): AlgebraElement.term(fs, group.identity)})
-    kap = KappaParam(fs, 2, {(1, 2): AlgebraElement.term(fs, g)})
-    return lam, kap
 
 
 @pytest.fixture()

@@ -525,14 +525,14 @@ def test_closed_stdout_is_an_output_error(unbuffered):
     assert done.stderr.splitlines() == ["output error: standard output was closed"]
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
-def test_help_on_closed_stdout_is_an_output_error(argv):
+def test_help_on_closed_stdout_is_an_output_error(argv, unbuffered):
     """--help writes before any command runs; a closed stdout still gives one output-error line.
 
-    With buffered stdout the write fails only at the flush.  (Unbuffered,
-    argparse ignores the failed write itself and exits 0.)
+    With buffered stdout the write fails only at the flush.
     """
-    done = _on_closed_stdout(argv)
+    done = _on_closed_stdout(argv, unbuffered)
     assert done.returncode == 2
     assert done.stderr.splitlines() == ["output error: standard output was closed"]
 

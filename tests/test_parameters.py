@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib.util
 import json
 
 import pytest
@@ -30,13 +29,8 @@ from dhecke.linalg import column
 from dhecke.parameters import element_from_json
 from dhecke.scalars import CharTwoUnsupported, ModularObstruction
 
-from conftest import FIXTURES, build_char2_matrix_pair, load_fixture
+from conftest import FIXTURES, build_char2_matrix_pair, load_fixture, make_fixtures
 
-_spec = importlib.util.spec_from_file_location(
-    "make_fixtures", FIXTURES.parent / "scripts" / "make_fixtures.py"
-)
-make_fixtures = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_fixtures)
 FIXTURE_PAYLOADS = make_fixtures.fixtures()
 
 
