@@ -309,24 +309,18 @@ def mu_to_json(mu: MuParams):
     }
 
 
-def mu_from_json(data, field_spec: FieldSpec | None = None, n: int | None = None) -> MuParams:
+def mu_from_json(data, field_spec: FieldSpec | None = None) -> MuParams:
     """Parse a mu file; a missing or ill-typed field raises ValueError naming it.
 
-    `field_spec` and `n`, when given, override the file's values, as the
-    CLI's --char and --n do.
+    `field_spec`, when given, overrides the file's characteristic, as the
+    CLI's --char does.
     """
     top = "mu file"
     if field_spec is None:
         field_spec = FieldSpec(_int_field(data, "characteristic", top))
     b_data = _list_field(data, "b", top)
-    if n is not None:
-        n_from = "--n"
-    elif "n" in data:
-        n_from = f"{top} field 'n'"
-        n = _int_field(data, "n", top)
-    else:
-        n_from = f"the length of {top} field 'b'"
-        n = len(b_data) + 1
+    n = _int_field(data, "n", top) if "n" in data else len(b_data) + 1
+    n_from = f"{top} field 'n'" if "n" in data else f"the length of {top} field 'b'"
     if n <= 2:
         raise ValueError(f"the mu tuple needs n > 2, got n = {n} from {n_from}")
     if len(b_data) != n - 1:

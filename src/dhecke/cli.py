@@ -21,7 +21,7 @@ from pathlib import Path
 from .convert import NotPBWInput, convert, verify_isomorphism
 from .groups import ClosureCapExceeded
 from .parameters import LambdaParam, algebra_element_to_json, params_from_json, params_to_json, random_params
-from .scalars import CharTwoUnsupported, FieldSpec, ModularObstruction, StepBudgetExceeded
+from .scalars import CharTwoUnsupported, FieldSpec, ModularObstruction, StepBudgetExceeded, read_int
 
 
 # The largest n crossval accepts, so that |S_n| = n! stays at most 5040:
@@ -44,9 +44,13 @@ def _step_budget() -> int:
     raw = os.environ.get("DHA_STEP_BUDGET")
     if not raw:
         return DEFAULT_STEP_BUDGET
-    if not raw.strip().isdecimal() or int(raw) < 1:
+    try:
+        budget = read_int(raw, signed=False)
+    except ValueError:
+        budget = 0
+    if budget < 1:
         raise ValueError(f"DHA_STEP_BUDGET must be an integer of at least 1, got {raw!r}")
-    return int(raw)
+    return budget
 
 
 def _write_json(path: str | None, payload) -> None:
@@ -123,7 +127,7 @@ def cmd_build(args) -> int:
                 "characteristic 2, though both PBW verdicts run there"
             )
         fs = FieldSpec(args.char)
-    mu = mu_from_json(data, field_spec=fs, n=args.n)
+    mu = mu_from_json(data, field_spec=fs)
     lam, kappa = build_H_mu(mu)
     _write_json(args.out, params_to_json(lam, kappa))
     print(f"built parameter tables for n={mu.n}, characteristic {mu.field.characteristic}")
@@ -260,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="expand a mu tuple into a full parameter file")
     p.add_argument("--mu", required=True, help="mu file (JSON)")
     p.add_argument("--out", help="output parameter file")
-    p.add_argument("--n", type=int, help="override the dimension")
     p.add_argument("--char", type=int, help="override the characteristic")
     p.add_argument("--force-char2", action="store_true")
     p.set_defaults(func=cmd_build)

@@ -3,7 +3,8 @@
 Two element kinds: permutations of {1..n} (the symmetric-group
 specialization; a `Perm` is the tuple of its 1-indexed one-line images)
 and invertible n x n matrices over a FieldSpec.  Elements of one kind
-order by their own `<`.  Composition is fixed globally as
+order by their own `<`, and `parse_element` is the one reader of the
+tokens their `__repr__` write.  Composition is fixed globally as
 (gh)(i) = g(h(i)), i.e. "apply h, then g" -- a left action, the only
 convention consistent with the cocycle identity checked by the PBW
 machinery.
@@ -31,12 +32,13 @@ work, the rows only with the table.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from . import linalg
 from .linalg import Column, Vector
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, ModularObstruction, Scalar, read_int
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -298,6 +300,12 @@ class GroupTable:
         row = self._rows.get(g)
         return row[h] if row else g * h
 
+    def member(self, g: GroupElement, what: str) -> GroupElement:
+        """The table's own object equal to g, or a ValueError saying that `what` is not in the group."""
+        if g not in self._members:
+            raise ValueError(f"{what} is not in the declared group")
+        return self._members[g]
+
     def lookup(self, data) -> GroupElement | None:
         """The table's own permutation whose one-line images are `data`, or None.
 
@@ -314,6 +322,28 @@ class GroupTable:
         n = self.n
         k = (k - 1) % n + 1
         return Perm.from_cycles(n, (k, k % n + 1))
+
+
+def parse_element(token: str, field: FieldSpec, n: int, table: GroupTable | None = None) -> GroupElement:
+    """The element that "g[2,1,3]" (images) or "M[[1,1],[0,1]]" (rows), as `repr` writes them, names.
+
+    Spaces may stand inside the brackets.  The element must act on F^n and,
+    given a table, lie in it; the table's own object is returned.
+    """
+    body = token[2:-1].strip()
+    try:
+        if token[:2] == "g[" and token[-1:] == "]":
+            g: GroupElement = Perm([read_int(x, signed=False) for x in body.split(",")])
+        elif token[:2] == "M[" and body[:1] == "[" and token[-1:] == body[-1:] == "]":
+            rows = re.split(r"\]\s*,\s*\[", body[1:-1])
+            g = MatrixElement(field, [[field(x) for x in row.split(",")] for row in rows])
+        else:
+            raise ValueError("not an element written g[...] or M[[...]]")
+        if g.n != n:
+            raise ValueError(f"does not act on F^{n}")
+    except (ValueError, ModularObstruction) as exc:
+        raise type(exc)(f"group token {token}: {exc}") from None
+    return g if table is None else table.member(g, f"group token {token}")
 
 
 @lru_cache(maxsize=None)

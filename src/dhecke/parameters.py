@@ -16,7 +16,7 @@ import random
 from .groups import GroupElement, GroupTable, MatrixElement, Perm, enumerate_group, symmetric_group
 from .group_algebra import AlgebraElement
 from .linalg import Column
-from .scalars import FieldSpec, ModularObstruction, Scalar
+from .scalars import FieldSpec, ModularObstruction, Scalar, read_int
 
 
 class KappaParam:
@@ -263,12 +263,12 @@ def _field(obj, key: str, where: str):
 
 
 def _int_value(value, where: str) -> int:
-    """An integer written as a JSON number or a digit string, or a ValueError naming `where`."""
+    """An integer written as a JSON number or a string `read_int` reads, or a ValueError naming `where`."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
-            return int(value)
+            return read_int(value)
         except ValueError:
             pass
     raise ValueError(f"{where} must be an integer, got {value!r}")
@@ -310,7 +310,7 @@ def _matrix_from_json(flat, fs: FieldSpec, n: int, where: str) -> MatrixElement:
 
 
 def element_from_json(data, group: GroupTable, where: str = "group element") -> GroupElement:
-    """The element `data` names; a list of plain ints is first looked up in the table."""
+    """The table's own element that `data` names; a list of plain ints is first looked up in the table."""
     g = group.lookup(data)
     if g is not None:
         return g
@@ -320,9 +320,7 @@ def element_from_json(data, group: GroupTable, where: str = "group element") -> 
         g: GroupElement = Perm([_int_value(x, f"{where} entry {k}") for k, x in enumerate(data)])
     else:
         g = _matrix_from_json(data, group.field, group.n, where)
-    if g not in group:
-        raise ValueError(f"element {g!r} is not in the declared group")
-    return g
+    return group.member(g, f"element {g!r}")
 
 
 def algebra_element_to_json(x: AlgebraElement):

@@ -163,7 +163,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .groups import GroupElement, GroupTable, MatrixElement, Perm
+from .groups import GroupElement, GroupTable, MatrixElement, Perm, parse_element
 from .parameters import KappaParam, LambdaParam
 from .scalars import FieldSpec, ModularObstruction, Scalar, StepBudgetExceeded
 
@@ -519,10 +519,36 @@ def nc_sub(field_spec: FieldSpec, x: NCSum, y: NCSum) -> NCSum:
     return {w: c for w, c in out.items() if c}
 
 
-_VAR_RE = re.compile(r"^v(\d+)(?:\^(\d+))?$")
-_PERM_RE = re.compile(r"^g\[([\d,]+)\]$")
-_MAT_RE = re.compile(r"^M\[\[(.+)\]\]$")
-_SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
+_VAR_RE = re.compile(r"v([0-9]+)(?:\^([0-9]+))?")
+
+
+def _terms(text: str) -> list[tuple[str, list[str]]]:
+    """The signed terms of word text, each a list of whole tokens.
+
+    Whitespace and "·" separate tokens, and "+" and "-" terms, but not
+    inside brackets, so that an element is one token, nor, for a sign, right after "^".
+    """
+    terms: list[tuple[str, list[str]]] = []
+    sign, tokens, tok, depth = "+", [], "", 0
+    for ch in text:
+        if depth or not (ch.isspace() or ch == "·" or ch in "+-" and tok[-1:] != "^"):
+            depth = max(depth + (ch == "[") - (ch == "]"), 0)
+            tok += ch
+            continue
+        if tok:
+            tokens.append(tok)
+            tok = ""
+        if ch in "+-":
+            if tokens:
+                terms.append((sign, tokens))
+            elif terms or sign != "+":
+                raise ValueError("empty term in word expression")
+            sign, tokens = ch, []
+    if tok:
+        tokens.append(tok)
+    if not tokens:
+        raise ValueError("empty term in word expression")
+    return terms + [(sign, tokens)]
 
 
 def parse_word_sum(
@@ -530,93 +556,39 @@ def parse_word_sum(
 ) -> NCSum:
     """Parse CLI word syntax into a noncommutative sum.
 
-    Tokens: "v3" (basis vector), "g[2,1,3]" (permutation by images),
-    "M[[1,1],[0,1]]" (matrix, row lists).  Terms are "+"/"-"-separated
-    words of whitespace- or interpunct-separated tokens with an optional
-    leading scalar, e.g. "2 v1 v2 - g[2,1,3] v1".  A group token must act
-    on F^n, and must lie in `group` when one is given.  A power "v1^k" may
-    not take its word past MAX_WORD_TOKENS tokens.
+    Tokens: "v3", "v3^2", the group elements `groups.parse_element` reads
+    (which must lie in `group` when one is given) and scalars, which
+    `field_spec` reads, e.g. "2 v1 v2 - g[2,1,3] v1".  A power may not take
+    its word past MAX_WORD_TOKENS tokens.
     """
-    text = text.replace("·", " ").strip()
-    if not text:
-        raise ValueError("empty word expression")
-    terms: list[tuple[str, str]] = []
-    sign = "+"
-    buf: list[str] = []
-    depth = 0
-    for ch in text:
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            chunk = "".join(buf).strip()
-            if chunk:
-                terms.append((sign, chunk))
-            elif terms or sign != "+":
-                raise ValueError("dangling sign in word expression")
-            sign = ch
-            buf = []
-        else:
-            buf.append(ch)
-    chunk = "".join(buf).strip()
-    if not chunk:
-        raise ValueError("dangling sign in word expression")
-    terms.append((sign, chunk))
-
     out: NCSum = {}
-    for sgn, chunk in terms:
+    for sgn, tokens in _terms(text):
         coeff = field_spec(1 if sgn == "+" else -1)
         word: list[Token] = []
-        for tok in chunk.split():
-            m = _VAR_RE.match(tok)
+        for tok in tokens:
+            m = _VAR_RE.fullmatch(tok)
             if m:
-                i = int(m.group(1))
+                i, k = int(m[1]), int(m[2] or 1)
                 if not 1 <= i <= n:
                     raise ValueError(f"variable index out of range: {tok}")
-                k = int(m.group(2) or 1)
                 if len(word) + k > MAX_WORD_TOKENS:
                     raise ValueError(f"token {tok} makes its word longer than {MAX_WORD_TOKENS} tokens")
                 word.extend([i] * k)
-                continue
-            g = _group_token(tok, field_spec, n, group)
-            if g is not None:
-                word.append(g)
-                continue
-            if _SCALAR_RE.match(tok):
-                if word:
-                    raise ValueError(f"scalar {tok} must prefix its word")
+            elif tok.startswith(("g[", "M[")):
+                word.append(parse_element(tok, field_spec, n, group))
+            else:
                 try:
-                    coeff = field_spec(coeff * field_spec(tok))
+                    c = field_spec(tok)
+                except ValueError:
+                    raise ValueError(f"cannot parse token {tok!r}") from None
                 except ModularObstruction as exc:
                     raise ModularObstruction(f"scalar {tok}: {exc}") from None
-                continue
-            raise ValueError(f"cannot parse token {tok!r}")
+                if word:
+                    raise ValueError(f"scalar {tok} must prefix its word")
+                coeff = field_spec(coeff * c)
         w = tuple(word)
         out[w] = field_spec(out.get(w, 0) + coeff)
     return {w: c for w, c in out.items() if c}
-
-
-def _group_token(tok: str, field_spec: FieldSpec, n: int, group: Optional[GroupTable]) -> Optional[GroupElement]:
-    """The element a "g[...]" or "M[[...]]" token names, or None; every refusal names the token."""
-    perm, mat = _PERM_RE.match(tok), _MAT_RE.match(tok)
-    try:
-        if perm:
-            g: GroupElement = Perm([int(x) for x in perm.group(1).split(",")])
-        elif mat:
-            rows = [[field_spec(x) for x in r.split(",")] for r in mat.group(1).split("],[")]
-            g = MatrixElement(field_spec, rows)
-        else:
-            return None
-    except ValueError as exc:
-        raise ValueError(f"cannot parse group token {tok}: {exc}") from None
-    except ModularObstruction as exc:
-        raise ModularObstruction(f"group token {tok}: {exc}") from None
-    if g.n != n:
-        raise ValueError(f"group token {tok} does not act on F^{n}")
-    if group is not None and g not in group:
-        raise ValueError(f"group token {tok} is not in the group")
-    return g
 
 
 def format_word(word: Word) -> str:
@@ -634,24 +606,13 @@ def normal_form_to_json(nf: dict[NormalMonomial, Scalar]) -> list[dict]:
 
 def format_normal_form(nf: dict[NormalMonomial, Scalar]) -> str:
     """Deterministic PBW-monomial rendering, re-parseable by parse_word_sum."""
-    if not nf:
-        return "0"
     parts: list[str] = []
-    for idx, (mono, coeff) in enumerate(sorted(nf.items(), key=lambda t: t[0].sort_key())):
-        factors = [
-            f"v{i}" if e == 1 else f"v{i}^{e}"
-            for i, e in enumerate(mono.exponents, start=1)
-            if e
-        ]
-        factors.append(repr(mono.g))
-        body = "·".join(factors)
+    for mono, coeff in sorted(nf.items(), key=lambda t: t[0].sort_key()):
         cs = str(coeff)
-        neg = cs.startswith("-")
-        if neg:
-            cs = str(-coeff)
-        term = body if cs == "1" else f"{cs}·{body}"
-        if idx == 0:
-            parts.append(f"-{term}" if neg else term)
-        else:
-            parts.append(f"- {term}" if neg else f"+ {term}")
-    return " ".join(parts)
+        factors = [] if cs.lstrip("-") == "1" else [cs.lstrip("-")]
+        factors += [f"v{i}" if e == 1 else f"v{i}^{e}" for i, e in enumerate(mono.exponents, start=1) if e]
+        parts += ["-" if cs[0] == "-" else "+", "·".join(factors + [repr(mono.g)])]
+    if not parts:
+        return "0"
+    # The first term takes no "+", and its "-" no space.
+    return " ".join(parts)[2:] if parts[0] == "+" else "-" + " ".join(parts[1:])

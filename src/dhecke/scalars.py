@@ -8,8 +8,9 @@ A scalar is a plain number in canonical form: an ``int`` in ``0..p-1`` over
 F_p; over Q an ``int`` when it is integral and an arbitrary-precision
 ``Fraction`` otherwise, so that integer arithmetic over Q stays on ints.
 :class:`FieldSpec` is the one ring object: ``fs(x)`` is the canonical image
-of an int, a ``Fraction`` or a decimal/rational string, ``fs.inv(x)``
-inverts, and ``fs.zero`` and ``fs.one`` are plain values.
+of an int, a ``Fraction`` or a string ``[+-]?d+(/d+)?`` in ASCII digits,
+the one grammar of written scalars; ``fs.inv(x)`` inverts, and ``fs.zero``
+and ``fs.one`` are plain values.
 
 Python's own operators do the arithmetic, so their results need not be
 canonical: over F_p a negation or a sum may leave ``0..p-1``, and over Q a
@@ -24,11 +25,24 @@ so every quotient is a product with ``fs.inv``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
 # A canonical scalar; the type of every coefficient in the engine.
 Scalar = Union[int, Fraction]
+
+
+# A written scalar, after stripping: a signed numerator and a nonzero denominator, in ASCII digits.
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def read_int(text: str, signed: bool = True) -> int:
+    """The integer `text` writes in the scalar grammar, with no "/" and, unless `signed`, no sign."""
+    m = _SCALAR.fullmatch(text.strip())
+    if m is None or m[2] or not (signed or m[1][0].isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(m[1])
 
 
 class ModularObstruction(ArithmeticError):
@@ -123,15 +137,12 @@ class FieldSpec:
         return hash((self.characteristic,))
 
     def __call__(self, value: Union[int, Fraction, str]) -> Scalar:
-        """The canonical image of an int, a Fraction, or a decimal/rational string."""
+        """The canonical image of an int, a Fraction, or a string in the scalar grammar."""
         if isinstance(value, str):
-            text = value.strip()
-            if "/" in text:
-                num_s, den_s = text.split("/", 1)
-                if int(den_s) == 0:
-                    raise ValueError(f"zero denominator in {text!r}")
-                return self(Fraction(int(num_s), int(den_s)))
-            return self(int(text))
+            m = _SCALAR.fullmatch(value.strip())
+            if m is None:
+                raise ValueError(f"{value!r} is not a scalar such as \"3\" or \"-1/2\"")
+            return self(int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2])))
         p = self.characteristic
         if p == 0:
             if type(value) is int:

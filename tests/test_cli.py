@@ -308,7 +308,7 @@ def test_step_budget_env(capsys, monkeypatch):
         "--word", "v3 v2 v1",
     )
     assert code == 2
-    for raw in ("abc", "-3", "0"):
+    for raw in ("abc", "-3", "0", "+3", "٣", "0_3"):
         monkeypatch.setenv("DHA_STEP_BUDGET", raw)
         code = main(["normal-form", "--input", str(FIXTURES / "example_1_1_n3.json"), "--word", "v3 v2 v1"])
         err = assert_one_line_error(capsys, code)
@@ -431,6 +431,14 @@ def test_normal_form_group_token_outside_group_exit2(capsys, fixture, word):
             {"characteristic": 5, "n": 2, "group": {"type": "matrix", "generators": [["1", "2", "2", "4"]]}},
             "group generator 0: matrix is singular",
         ),
+        # integers and scalars are read in ASCII digits, without underscores
+        ({"characteristic": 5, "n": "0_3"}, "parameter file field 'n' must be an integer, got '0_3'"),
+        ({"characteristic": "٧", "n": 3}, "parameter file field 'characteristic' must be an integer, got '٧'"),
+        (
+            {"characteristic": 5, "n": 3, "group": {"type": "symmetric_permutation", "n": 3},
+             "kappa": [{"i": 1, "j": 2, "value": [{"g": [1, 2, 3], "coeff": "0_1"}]}]},
+            "kappa entry 0 value term 0 field 'coeff' must be a scalar such as \"3\" or \"-1/2\", got '0_1'",
+        ),
     ],
 )
 def test_check_malformed_params_exit2(capsys, tmp_path, payload, named):
@@ -449,9 +457,9 @@ MALFORMED_MU = [  # (mu file, build flags, what the error names)
     ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "zz"}, [], "field 'c'"),
     ({"characteristic": 5, "n": 3, "a": {"1,9": "0"}, "b": ["1", "1"], "c": "1"}, [], "a-table key"),
     ({"characteristic": 5, "n": 4, "b": ["1"], "c": "1"}, [], "mu file field 'b' must hold n - 1 = 3 values (n = 4 from mu file field 'n')"),
-    ({"characteristic": 5, "b": ["1", "1"], "c": "1"}, ["--n", "4"], "mu file field 'b' must hold n - 1 = 3 values (n = 4 from --n)"),
+    ({"characteristic": 5, "n": 3, "a": {"1,0_2": "1"}, "b": ["1", "1"], "c": "1"}, [], "field 'a' key '1,0_2' must be an integer, got '0_2'"),
     ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "1"}, ["--char", "2"], "--char 2 requires --force-char2"),
-    ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "1"}, ["--n", "0"], "the mu tuple needs n > 2, got n = 0 from --n"),
+    ({"characteristic": 5, "n": 3, "b": ["1", "1"], "c": "٣"}, [], "mu file field 'c' must be a scalar such as \"3\" or \"-1/2\", got '٣'"),
     ({"characteristic": 5, "n": 1, "b": [], "c": "1"}, [], "the mu tuple needs n > 2, got n = 1 from mu file field 'n'"),
     ({"characteristic": 5, "b": ["1"], "c": "1"}, [], "the mu tuple needs n > 2, got n = 2 from the length of mu file field 'b'"),
 ]

@@ -147,7 +147,7 @@ def cases() -> dict[str, list[str]]:
         out[f"convert/{name}"] = ["convert", "--input", f"{name}.json", "--out", f"convert_{name}.out.json"]
     out["convert-stdout/golden_rule"] = ["convert", "--input", "golden_rule.json", "--degree", "2"]
     out["build/q"] = ["build", "--mu", "q.mu.json", "--out", "build_q.out.json"]
-    out["build/q-char7"] = ["build", "--mu", "q.mu.json", "--char", "7", "--n", "3", "--out", "build_q7.out.json"]
+    out["build/q-char7"] = ["build", "--mu", "q.mu.json", "--char", "7", "--out", "build_q7.out.json"]
     out["build/char2"] = ["build", "--mu", "char2.mu.json", "--out", "build_char2.out.json"]
     out["build/int-char2-refused"] = ["build", "--mu", "int.mu.json", "--char", "2", "--out", "build_int2_refused.out.json"]
     out["build/int-char2-forced"] = ["build", "--mu", "int.mu.json", "--char", "2", "--force-char2", "--out", "build_int2.out.json"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import permutations
 
 import pytest
@@ -16,7 +17,7 @@ from dhecke import (
     params_from_json,
     symmetric_group,
 )
-from dhecke.groups import ClosureCapExceeded, GroupTable
+from dhecke.groups import ClosureCapExceeded, GroupTable, parse_element
 from dhecke.linalg import same_subspace
 
 from conftest import build_char2_matrix_pair, load_fixture, matrix_group_pairs
@@ -153,6 +154,37 @@ def test_group_table_rows_are_its_own_products():
     elements = [Perm.identity(3), Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 3))]
     with pytest.raises(ValueError, match="not closed under products"):
         GroupTable(elements, 3, elements[1:])
+
+
+def test_parse_element_reads_repr_back_as_the_tables_own_object():
+    """parse_element(repr(g)) is g itself, spaced or not, for every element of each table."""
+    tables = [symmetric_group(3), symmetric_group(4), params_from_json(load_fixture("example_4_3.json"))[0].group]
+    tables += list({id(lam.group): lam.group for _, lam, _ in matrix_group_pairs()}.values())
+    for table in tables:
+        fs = table.field or FieldSpec(0)
+        for g in table:
+            text = repr(g)
+            assert parse_element(text, fs, table.n, table) is g
+            assert parse_element(text.replace(",", ", ").replace("[", "[ "), fs, table.n, table) is g
+            assert parse_element(text, fs, table.n) == g
+
+
+def test_parse_element_refusals_name_the_token():
+    s3 = symmetric_group(3)
+    F5 = FieldSpec(5)
+    for token, why in (
+        ("g[2,1]", "does not act on F^3"),
+        ("g[1,2,3,4]", "does not act on F^3"),
+        ("g[2,2,3]", "not a permutation"),
+        ("g[+2,1,3]", "is not an integer"),
+        ("g[٢,1,3]", "is not an integer"),
+        ("g[2,1,3", "not an element written"),
+        ("M[[1,0,0],[0,1,0],[0,0,1]]", "is not in the declared group"),
+        ("M[[1,0],[0,1]", "not an element written"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(why)) as exc:
+            parse_element(token, F5, 3, s3)
+        assert token in str(exc.value)
 
 
 def test_group_table_kind_from_elements():

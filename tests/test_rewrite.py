@@ -327,6 +327,20 @@ def test_parse_word_sum_errors(F5):
         parse_word_sum("", F5, 3)
 
 
+@pytest.mark.parametrize("text, token", [("v1^-1", "v1^-1"), ("٣ v1", "٣"), ("v2 - v1^+2", "v1^+2"), ("v١", "v١")])
+def test_parse_word_sum_refusals_quote_the_whole_token(F5, text, token):
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse token {token!r}")):
+        parse_word_sum(text, F5, 3)
+
+
+def test_parse_word_sum_reads_spaces_inside_brackets(F5):
+    s3 = symmetric_group(3)
+    assert parse_word_sum("g[2, 1, 3] v1", F5, 3, s3) == parse_word_sum("g[2,1,3] v1", F5, 3, s3)
+    F2 = FieldSpec(2)
+    spaced = parse_word_sum("M[[1, 1], [0, 1]] v1 - M[ [1,0] ,[0,1] ]·v2", F2, 2)
+    assert spaced == parse_word_sum("M[[1,1],[0,1]] v1 - M[[1,0],[0,1]]·v2", F2, 2)
+
+
 def test_format_zero(F5):
     assert format_normal_form({}) == "0"
 
@@ -479,17 +493,19 @@ def test_parse_word_sum_rejects_tokens_outside_group(F7):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.text(alphabet="vgM[],/0123456789+-^ ", max_size=24))
+@given(st.text(alphabet="vgM[],/0123456789+-^ ·٣", max_size=24))
 def test_parse_word_sum_fuzz_returns_or_raises_value_error(text):
     """Any word text either parses or raises ValueError.
 
     An exponent expands into at most MAX_WORD_TOKENS tokens, so '^' is safe
-    to fuzz.
+    to fuzz.  A refusal of a token quotes it as it stands in the text.
     """
     fs = FieldSpec(5)
     try:
         x = parse_word_sum(text, fs, 3, symmetric_group(3))
-    except ValueError:
+    except ValueError as exc:
+        quoted = re.fullmatch(r"cannot parse token '(.*)'", str(exc))
+        assert quoted is None or quoted[1] in text
         return
     for word in x:
         assert all(isinstance(t, int) or t in symmetric_group(3) for t in word)

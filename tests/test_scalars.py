@@ -12,6 +12,7 @@ from dhecke.scalars import (
     MAX_CHARACTERISTIC,
     FieldSpec,
     ModularObstruction,
+    read_int,
 )
 
 
@@ -63,6 +64,36 @@ def test_canonical_reduction_and_parsing():
     assert str(Q("4/6")) == "2/3"
     assert str(Q(-3)) == "-3"
     assert Q(str(Q("22/7"))) == Q("22/7")
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_printed_scalars_read_back(p):
+    """fs(str(c)) == c for canonical scalars, negative fractions included."""
+    fs = FieldSpec(p)
+    values = {fs(Fraction(a, b)) for a in range(-12, 13) for b in range(1, 8) if not p or b % p}
+    if not p:
+        assert Fraction(-7, 6) in values
+    for c in values:
+        assert fs(str(c)) == c and fs(f" {c}\n") == c
+    assert fs("+3") == fs(3)
+
+
+@pytest.mark.parametrize("text", ["0_1", "٣", "-1/-2", "3/ 4", "3 /4", "1/+2", "- 1", "1e3", "0x10", "", "/2", "1/", "1/0", "2/00"])
+def test_scalar_strings_outside_the_grammar_are_refused(text):
+    for p in (0, 5):
+        with pytest.raises(ValueError, match="is not a scalar"):
+            FieldSpec(p)(text)
+
+
+def test_read_int_is_the_scalar_grammar_without_a_fraction():
+    assert [read_int(t) for t in ("7", " -3 ", "+12", "007")] == [7, -3, 12, 7]
+    assert read_int(" 42 ", signed=False) == 42
+    for text in ("0_3", "٧", "3/1", "", "1 2"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            read_int(text)
+    for text in ("+3", "-3"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            read_int(text, signed=False)
 
 
 def test_integral_rationals_are_ints():
