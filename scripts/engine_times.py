@@ -5,6 +5,8 @@ For each n (default 5, 6 and 7) the pair is `random_params(n, F_5, seed=1,
 profile="mu-family")`, which is PBW, so every instance is swept.  Each run
 is a fresh interpreter that times, once each:
 
+- `GroupTable` on S_n's generators (1 2) and (1 2 ... n), built through
+  `symmetric_group` without its cache;
 - `build_H_mu` on the pair's mu tuple (read back with `extract_mu`);
 - condition (1), as `check_condition(1, ...)` (the generator sweep);
 - `is_pbw`;
@@ -43,6 +45,7 @@ from dhecke import (
     FieldSpec, RewriteSystem, build_H_mu, check_condition, extract_mu, is_pbw, params_from_json,
     params_to_json, random_params,
 )
+from dhecke.groups import symmetric_group
 n = int(sys.argv[1])
 lam, kappa = random_params(n, FieldSpec(5), seed=1, profile="mu-family")
 mu = extract_mu(lam, kappa)
@@ -54,6 +57,7 @@ def timed(name, expected, fn, *args):
     out[name] = time.perf_counter() - t0
     if result != expected:
         raise SystemExit(f"{name} gave {result!r}")
+timed("GroupTable", lam.group.elements, lambda: symmetric_group.__wrapped__(n).elements)
 timed("build_H_mu", (lam, kappa), build_H_mu, mu)
 timed("cond (1)", (True, None), check_condition, 1, lam, kappa)
 timed("is_pbw", True, is_pbw, lam, kappa)
@@ -62,7 +66,7 @@ timed("params_from_json", (lam, kappa), params_from_json, data)
 out["peak RSS"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
 """
-STAGES = ("build_H_mu", "cond (1)", "is_pbw", "is_confluent", "params_from_json", "peak RSS")
+STAGES = ("GroupTable", "build_H_mu", "cond (1)", "is_pbw", "is_confluent", "params_from_json", "peak RSS")
 
 
 def run(src: Path, n: int) -> dict[str, float]:
@@ -74,7 +78,7 @@ def run(src: Path, n: int) -> dict[str, float]:
 
 
 def cell(stage: str, value: float) -> str:
-    return f"{value:.1f} MB" if stage == "peak RSS" else f"{value:.3f} s"
+    return f"{value:.1f} MB" if stage == "peak RSS" else f"{value:.4f} s"
 
 
 def main() -> int:

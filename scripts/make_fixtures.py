@@ -23,13 +23,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from dhecke import (  # noqa: E402
     AlgebraElement,
     FieldSpec,
+    GroupTable,
     KappaParam,
     LambdaParam,
     MatrixElement,
     MuParams,
     Perm,
     build_H_mu,
-    enumerate_group,
     golden_rule,
     low_dim_family,
     params_to_json,
@@ -85,7 +85,7 @@ def char2_matrix_pair():
     """Z/2Z generated by [[1,1],[0,1]] over F_2: gw = vg + wg + 1, vw - wv = g."""
     fs = FieldSpec(2)
     g = MatrixElement(fs, [[fs.one, fs.one], [fs.zero, fs.one]])
-    group = enumerate_group([g])
+    group = GroupTable([g])
     lam = LambdaParam(group, fs, {(g, 2): AlgebraElement.term(fs, group.identity)})
     kap = KappaParam(fs, 2, {(1, 2): AlgebraElement.term(fs, g)})
     return lam, kap

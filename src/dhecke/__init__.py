@@ -24,7 +24,7 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("scalars", ("CharTwoUnsupported", "FieldSpec", "ModularObstruction", "Scalar", "StepBudgetExceeded")),
-        ("groups", ("GroupElement", "GroupTable", "MatrixElement", "Perm", "enumerate_group", "symmetric_group")),
+        ("groups", ("GroupElement", "GroupTable", "MatrixElement", "Perm", "symmetric_group")),
         ("group_algebra", ("AlgebraElement",)),
         (
             "parameters",

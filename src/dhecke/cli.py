@@ -248,6 +248,11 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
+def integer(text: str) -> int:
+    """An integer flag in the grammar of `read_int`; argparse's refusal says "invalid integer value"."""
+    return read_int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dhecke",
@@ -264,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="expand a mu tuple into a full parameter file")
     p.add_argument("--mu", required=True, help="mu file (JSON)")
     p.add_argument("--out", help="output parameter file")
-    p.add_argument("--char", type=int, help="override the characteristic")
+    p.add_argument("--char", type=integer, help="override the characteristic")
     p.add_argument("--force-char2", action="store_true")
     p.set_defaults(func=cmd_build)
 
@@ -281,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="nonmodular conversion to a lambda = 0 pair")
     p.add_argument("--input", required=True)
-    p.add_argument("--degree", type=int, default=3, help="degree recorded in the certificate")
+    p.add_argument("--degree", type=integer, default=3, help="degree recorded in the certificate")
     p.add_argument("--out", help="output converted parameter file")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("crossval", help="seeded agreement campaign between both verdicts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--char", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--char", type=integer, required=True)
+    p.add_argument("--samples", type=integer, default=100)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_crossval)
 

@@ -1,4 +1,4 @@
-"""Finite group elements acting linearly on F^n, plus full enumerations.
+"""Finite group elements acting linearly on F^n, and the tables of the groups they generate.
 
 Two element kinds: permutations of {1..n} (the symmetric-group
 specialization; a `Perm` is the tuple of its 1-indexed one-line images)
@@ -15,12 +15,19 @@ coefficient is the int 1, which is canonical in every field.  The parameter
 evaluators, the PBW conditions, the rewrite rules and the conversion read
 the action through it alone, so none of them branches on the element kind.
 
+A `GroupTable` is built in one way: as the closure of its generators under
+left multiplication, from the identity.  So every element is a positive
+word in the generators, the invariant on which the generator sweeps of
+`pbw`, `rewrite` and `verify_isomorphism` rest, and no table can be built
+whose generators do not generate it.
+
 Every engine product (the conditions, the overlap fast paths, R1 in the
 rewriting engine and `build_H_mu`) goes through `GroupTable.product`.  It
 looks s h up in a row of the table's left multiplication table, which maps
 each h to the table's own object for s h, or computes it with `*` when s
 has no row.  The table keeps one row per generator s, |S|.|G| entries, as
-many products as one sweep of PBW condition (1) over the generators makes.
+many products as one sweep of PBW condition (1) over the generators makes;
+the closure makes each of those products once, and fills the rows with them.
 When |G| <= |S|.n it keeps a row for every element: the full table has
 |G|^2 entries, no more than the |S|.|G|.n instances of that sweep, and
 then every product is a look-up.  That holds for S_3 (6 <= 2.3) and for
@@ -45,7 +52,7 @@ class ClosureCapExceeded(RuntimeError):
     """Group closure grew past the configured cap."""
 
 
-# The largest group `enumerate_group` builds by default; `symmetric_group`
+# The largest group a `GroupTable` closes up by default; `symmetric_group`
 # refuses an S_n past it before enumerating anything.
 CLOSURE_CAP = 10**6
 
@@ -238,53 +245,73 @@ GroupElement = Union[Perm, MatrixElement]
 
 
 class GroupTable:
-    """Immutable full enumeration of a finite group with index lookup.
+    """Immutable full enumeration of a finite group: the closure of its generators.
+
+    The closure multiplies by `generators` on the left from the identity, so
+    every element is a positive word in them, as the generator sweeps of
+    `pbw`, `rewrite` and `verify_isomorphism` need; it fills the generator
+    rows as it goes.  `n` comes from the generators, kept in their order as
+    the table's own objects.  Over Q each new element g must satisfy g^L = 1
+    (see `_finite_exponent`), so an infinite group is refused by naming its
+    first element of infinite order instead of running on to `cap`.
 
     Elements are sorted by their own `<` (image tuples for permutations,
     row-major entries for matrices), so all downstream iteration is
-    deterministic, and must be closed under `g.inverse()`.  `generators`
-    generates the group as a monoid (every element is a positive word in
-    it); `enumerate_group` builds every table from the generators it closes
-    up.  The group's kind is worked out once, here: `field` is the matrix
-    entries' field (None for permutations), `is_permutation_group` says
-    every element is a Perm, and `is_symmetric_group` that they are all n!
-    of them.  `product` multiplies two elements (see the module docstring).
+    deterministic.  The group's kind is worked out once, here: `field` is
+    the matrix entries' field (None for permutations),
+    `is_permutation_group` says every element is a Perm, and
+    `is_symmetric_group` that they are all n! of them.  `product`
+    multiplies two elements (see the module docstring).
     """
 
-    def __init__(self, elements: Iterable[GroupElement], n: int, generators: Sequence[GroupElement]) -> None:
-        self.elements: tuple[GroupElement, ...] = tuple(sorted(elements))
-        self.n = n
+    def __init__(self, generators: Sequence[GroupElement], cap: int = CLOSURE_CAP) -> None:
+        if not generators:
+            raise ValueError("need at least one generator")
+        n = generators[0].n
+        if any(g.n != n for g in generators):
+            raise ValueError("mismatched dimensions among generators")
+        ident = generators[0] * generators[0].inverse()
+        over_q = isinstance(ident, MatrixElement) and ident.field.characteristic == 0
+        exponent = _finite_exponent(n) if over_q else 0
         # Each element keyed by itself, so that `lookup` returns the table's own object.
-        self._members = {g: g for g in self.elements}
-        if len(self._members) != len(self.elements):
-            raise ValueError("duplicate elements")
-        self.generators: tuple[GroupElement, ...] = tuple(generators)
-        for s in self.generators:
-            if s not in self._members:
-                raise ValueError(f"generator {s!r} is not in the enumeration")
-        ident = [g for g in self.elements if g.is_identity()]
-        if not ident:
-            raise ValueError("enumeration is missing the identity")
-        self.identity: GroupElement = ident[0]
-        self.field: FieldSpec | None = (
-            self.identity.field if isinstance(self.identity, MatrixElement) else None
-        )
-        self.is_permutation_group: bool = all(isinstance(g, Perm) for g in self.elements)
+        members = {ident: ident}
+        # Each product s x the closure makes fills the row of generator s.
+        rows: dict[GroupElement, dict[GroupElement, GroupElement]] = {s: {} for s in generators}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s, row in rows.items():
+                    y = s * x
+                    z = members.get(y)
+                    if z is None:
+                        if exponent and _power(y, exponent) != ident:
+                            raise ValueError(
+                                f"the matrix group over Q is infinite: {y!r} has infinite order "
+                                f"(its power {exponent} is not the identity)"
+                            )
+                        members[y] = z = y
+                        nxt.append(y)
+                        if len(members) > cap:
+                            raise ClosureCapExceeded(f"closure exceeded cap {cap}")
+                    row[x] = z
+            frontier = nxt
+        self.elements: tuple[GroupElement, ...] = tuple(sorted(members))
+        self.n = n
+        self._members = members
+        self.generators: tuple[GroupElement, ...] = tuple(members[s] for s in generators)
+        self.identity: GroupElement = ident
+        self.field: FieldSpec | None = ident.field if isinstance(ident, MatrixElement) else None
+        self.is_permutation_group: bool = self.field is None
         self.is_symmetric_group: bool = (
             self.is_permutation_group and len(self.elements) == math.factorial(n)
         )
-        for g in self.elements:
-            if g.inverse() not in self._members:
-                raise ValueError(f"enumeration not closed under inverse: {g!r}")
         # Rows of the left multiplication table (see the module docstring).
-        heads = self.elements if len(self.elements) <= len(self.generators) * n else self.generators
-        members = self._members
-        try:
-            self._rows: dict[GroupElement, dict[GroupElement, GroupElement]] = {
-                s: {h: members[s * h] for h in self.elements} for s in heads
-            }
-        except KeyError as exc:
-            raise ValueError(f"enumeration not closed under products: {exc.args[0]!r}") from None
+        if len(self.elements) <= len(self.generators) * n:
+            for g in self.elements:
+                if g not in rows:
+                    rows[g] = {h: members[g * h] for h in self.elements}
+        self._rows = rows
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -362,7 +389,7 @@ def symmetric_group(n: int) -> GroupTable:
             raise ClosureCapExceeded(f"S_{n} has {n}! elements, more than the cap {CLOSURE_CAP}")
     transposition = Perm.from_cycles(n, (1, 2)) if n > 1 else Perm.identity(n)
     long_cycle = Perm.from_cycles(n, tuple(range(1, n + 1)))
-    return enumerate_group(list(dict.fromkeys([transposition, long_cycle])))
+    return GroupTable(list(dict.fromkeys([transposition, long_cycle])))
 
 
 def _finite_exponent(n: int) -> int:
@@ -390,41 +417,3 @@ def _power(g: GroupElement, e: int) -> GroupElement:
         if bit == "1":
             result = result * g
     return result
-
-
-def enumerate_group(generators: Sequence[GroupElement], cap: int = CLOSURE_CAP) -> GroupTable:
-    """Close a generating set under products; errors past the cap.
-
-    The closure starts at the identity and multiplies by generators on the
-    left, so the table's recorded `generators` generate it as a monoid.
-    Over Q each new element g must satisfy g^L = 1 (see `_finite_exponent`);
-    the first that does not has infinite order and is refused by name, so
-    an infinite matrix group never runs on to the cap.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = generators[0].n
-    if any(g.n != n for g in generators):
-        raise ValueError("mismatched dimensions among generators")
-    ident = generators[0] * generators[0].inverse()
-    over_q = isinstance(ident, MatrixElement) and ident.field.characteristic == 0
-    exponent = _finite_exponent(n) if over_q else 0
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = g * x
-                if y not in seen:
-                    if exponent and _power(y, exponent) != ident:
-                        raise ValueError(
-                            f"the matrix group over Q is infinite: {y!r} has infinite order "
-                            f"(its power {exponent} is not the identity)"
-                        )
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-        frontier = nxt
-    return GroupTable(seen, n, generators)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .groups import GroupElement, GroupTable, MatrixElement, Perm, enumerate_group, symmetric_group
+from .groups import GroupElement, GroupTable, MatrixElement, Perm, symmetric_group
 from .group_algebra import AlgebraElement
 from .linalg import Column
 from .scalars import FieldSpec, ModularObstruction, Scalar, read_int
@@ -379,7 +379,7 @@ def group_from_json(data, fs: FieldSpec, n: int) -> GroupTable:
             _matrix_from_json(flat, fs, n, f"group generator {k}")
             for k, flat in enumerate(_list_field(data, "generators", "group"))
         ]
-        return enumerate_group(gens)
+        return GroupTable(gens)
     raise ValueError(f"unknown group type {kind!r}")
 
 

@@ -522,6 +522,15 @@ def nc_sub(field_spec: FieldSpec, x: NCSum, y: NCSum) -> NCSum:
 _VAR_RE = re.compile(r"v([0-9]+)(?:\^([0-9]+))?")
 
 
+def _bounded_int(digits: str, bound: int) -> int:
+    """The value of ASCII `digits`, or bound + 1 if it has more digits than `bound`.
+
+    So a long digit string never reaches `int()`, which refuses one of more than 4300 digits.
+    """
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= len(str(bound)) else bound + 1
+
+
 def _terms(text: str) -> list[tuple[str, list[str]]]:
     """The signed terms of word text, each a list of whole tokens.
 
@@ -568,7 +577,7 @@ def parse_word_sum(
         for tok in tokens:
             m = _VAR_RE.fullmatch(tok)
             if m:
-                i, k = int(m[1]), int(m[2] or 1)
+                i, k = _bounded_int(m[1], n), _bounded_int(m[2] or "1", MAX_WORD_TOKENS)
                 if not 1 <= i <= n:
                     raise ValueError(f"variable index out of range: {tok}")
                 if len(word) + k > MAX_WORD_TOKENS:

@@ -10,11 +10,11 @@ import pytest
 from dhecke import (
     AlgebraElement,
     FieldSpec,
+    GroupTable,
     KappaParam,
     LambdaParam,
     MatrixElement,
     build_H_mu,
-    enumerate_group,
     random_params,
     symmetric_group,
 )
@@ -159,7 +159,7 @@ def matrix_group_pairs():
     )
     for p, gens in generators:
         fs = FieldSpec(p)
-        group = enumerate_group([MatrixElement(fs, [[fs(x) for x in row] for row in g]) for g in gens])
+        group = GroupTable([MatrixElement(fs, [[fs(x) for x in row] for row in g]) for g in gens])
         n = group.n
         for seed in range(4):
             rng = random.Random(f"matrix pair|p={p}|seed={seed}")

@@ -482,9 +482,9 @@ def test_check_group_too_large_refused_before_enumerating(capsys, tmp_path, monk
     import dhecke.groups
 
     def fail(*args, **kwargs):
-        raise AssertionError("enumerate_group was called")
+        raise AssertionError("GroupTable was called")
 
-    monkeypatch.setattr(dhecke.groups, "enumerate_group", fail)
+    monkeypatch.setattr(dhecke.groups, "GroupTable", fail)
     path = tmp_path / "s10.json"
     path.write_text(json.dumps({"characteristic": 5, "n": 10, "group": {"type": "symmetric_permutation", "n": 10}}))
     code = main(["check", "--input", str(path)])
@@ -583,6 +583,36 @@ def test_crossval_char2_agrees(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+INTEGER_FLAGS = [
+    (["crossval", "--n", "3", "--char", "5", "--samples", "1", "--seed", "0"], "--n"),
+    (["crossval", "--n", "3", "--char", "5", "--samples", "1", "--seed", "0"], "--char"),
+    (["crossval", "--n", "3", "--char", "5", "--samples", "1", "--seed", "0"], "--samples"),
+    (["crossval", "--n", "3", "--char", "5", "--samples", "1", "--seed", "0"], "--seed"),
+    (["convert", "--input", "params.json", "--degree", "3"], "--degree"),
+    (["build", "--mu", "mu.json", "--char", "5"], "--char"),
+]
+
+
+@pytest.mark.parametrize("value", ["٣", "0_5"], ids=["arabic-indic-digit", "underscore"])
+@pytest.mark.parametrize("argv, flag", INTEGER_FLAGS, ids=[f"{a[0]}{f}" for a, f in INTEGER_FLAGS])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
+    """Integer flags read the grammar of files and words: no other digits, no underscores."""
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert exc.value.code == 2
+    assert errors == [f"dhecke {argv[0]}: error: argument {flag}: invalid integer value: {value!r}"]
+
+
+def test_negative_seed_still_accepted(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["crossval", "--n", "3", "--char", "5", "--samples", "1", "--seed", "-3", "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["seed"] == -3
+
+
 PRIME_31_DIGITS = 10**30 + 57
 
 
@@ -670,21 +700,21 @@ PUBLIC_NAMES = [
     "FieldSpec", "GroupElement", "GroupTable", "KappaParam", "LambdaParam", "MatrixElement",
     "ModularObstruction", "MuParams", "NormalMonomial", "NotPBWInput", "Perm", "RewriteSystem", "Scalar",
     "StepBudgetExceeded", "Witness", "act_on_kappa", "act_on_lambda", "build_H_mu", "bump_c",
-    "check_condition", "check_pbw", "convert", "diagnose_kappa_support", "diagnose_lambda",
-    "enumerate_group", "extract_mu", "format_normal_form", "gamma", "golden_rule",
-    "invariant_kappa_params", "is_pbw", "lemma_suite", "low_dim_family", "mu_from_json", "mu_to_json",
+    "check_condition", "check_pbw", "convert", "diagnose_kappa_support", "diagnose_lambda", "extract_mu",
+    "format_normal_form", "gamma", "golden_rule", "invariant_kappa_params", "is_pbw", "lemma_suite",
+    "low_dim_family", "mu_from_json", "mu_to_json",
     "params_from_json", "params_to_json", "parse_word_sum", "random_params", "scale_params",
     "symmetric_group", "two_param_family", "verify_isomorphism",
 ]
 
 
 def test_package_exports_resolve_to_their_modules():
-    """The lazily bound names are the same 48 objects their modules define."""
+    """The lazily bound names are the same 47 objects their modules define."""
     import importlib
 
     import dhecke
 
-    assert dhecke.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 48
+    assert dhecke.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 47
     assert set(PUBLIC_NAMES) <= set(dir(dhecke))
     for name in PUBLIC_NAMES:
         module = importlib.import_module(f"dhecke.{dhecke._EXPORTS[name]}")

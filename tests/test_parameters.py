@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from dhecke import (
     AlgebraElement,
     FieldSpec,
+    GroupTable,
     LambdaParam,
     Perm,
     act_on_kappa,
     act_on_lambda,
     KappaParam,
     check_pbw,
-    enumerate_group,
     extract_mu,
     golden_rule,
     params_from_json,
@@ -243,7 +243,7 @@ def test_json_round_trip_keeps_matrix_generators():
 
 def test_params_to_json_refuses_permutation_subgroup(F5):
     """The file format has no type for a proper permutation subgroup, so none is written."""
-    group = enumerate_group([Perm.from_cycles(3, (1, 2, 3))])
+    group = GroupTable([Perm.from_cycles(3, (1, 2, 3))])
     with pytest.raises(ValueError, match=r"g\[2,3,1\]"):
         params_to_json(LambdaParam(group, F5), KappaParam(F5, 3))
 

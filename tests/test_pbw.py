@@ -6,6 +6,7 @@ from itertools import chain, product
 from dhecke import (
     AlgebraElement,
     FieldSpec,
+    GroupTable,
     KappaParam,
     LambdaParam,
     MatrixElement,
@@ -17,7 +18,6 @@ from dhecke import (
     check_pbw,
     diagnose_kappa_support,
     diagnose_lambda,
-    enumerate_group,
     gamma,
     golden_rule,
     is_pbw,
@@ -76,7 +76,7 @@ def _unit(fs, n, i):
 
 def _s3_matrix_table(fs):
     gens = (Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 2, 3)))
-    return enumerate_group([MatrixElement(fs, g.matrix()) for g in gens])
+    return GroupTable([MatrixElement(fs, g.matrix()) for g in gens])
 
 
 def test_condition3_witness_is_genuine(F5, S3):
@@ -421,7 +421,7 @@ def test_matrix_branches_match_permutation_verdicts(F5):
     normal forms and gamma through the element map; witnesses are not.
     """
     gens = (Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 2, 3)))
-    table = enumerate_group([MatrixElement(F5, g.matrix()) for g in gens])
+    table = GroupTable([MatrixElement(F5, g.matrix()) for g in gens])
     assert len(table) == 6 and not table.is_permutation_group
     s, c = gens
     words = [(3, 2, 1), (c, 1), (s, 3, 2, 1), (2, c, s, 1, 1), (c, c, 3, 1, 2)]

@@ -26,9 +26,10 @@ from dhecke import (
     random_params,
     symmetric_group,
 )
+from dhecke.cli import main
 from dhecke.rewrite import MAX_WORD_TOKENS, StepBudgetExceeded, format_word, ranking
 
-from conftest import build_char2_matrix_pair, load_fixture, matrix_group_pairs, sweep_grid, unit_block_mu
+from conftest import FIXTURES, build_char2_matrix_pair, load_fixture, matrix_group_pairs, sweep_grid, unit_block_mu
 
 
 def nf_of_word(rs, word, coeff=None):
@@ -314,6 +315,27 @@ def test_parse_word_sum_bounds_word_length(F5):
         parse_word_sum(f"v2 v1^{MAX_WORD_TOKENS}", F5, 3)
     with pytest.raises(ValueError, match=re.escape("v3^1000000000")):
         parse_word_sum("v1 + v3^1000000000", F5, 3)
+
+
+# More digits than int() reads on its own (4300 since Python 3.11 and some 3.10 releases).
+LONG_ONES = "1" * 5000
+
+
+def _normal_form_error(capsys, word):
+    code = main(["normal-form", "--input", str(FIXTURES / "golden_rule.json"), "--word", word])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1
+    return err
+
+
+def test_normal_form_refuses_a_power_of_many_digits_by_its_token(capsys):
+    err = _normal_form_error(capsys, f"v1^{LONG_ONES}")
+    assert f"token v1^{LONG_ONES} makes its word longer than {MAX_WORD_TOKENS} tokens" in err
+
+
+def test_normal_form_refuses_a_variable_index_of_many_digits_by_its_token(capsys):
+    err = _normal_form_error(capsys, f"v{LONG_ONES}")
+    assert f"variable index out of range: v{LONG_ONES}" in err
 
 
 def test_parse_word_sum_errors(F5):
