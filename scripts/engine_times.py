@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""In-process times of the PBW engines on seeded mu-family pairs over F_5.
+"""In-process times of the PBW engines on seeded pairs over F_5.
 
 For each n (default 5, 6 and 7) the pair is `random_params(n, F_5, seed=1,
-profile="mu-family")`, which is PBW, so every instance is swept.  Each run
-is a fresh interpreter that times, once each:
+profile="mu-family")`, which is PBW, so every instance is swept, and the
+perturbed pair is the same call with profile="perturbed-mu", which is not
+PBW, so the verdict-only engines stop at its first failure.  Each run is a
+fresh interpreter that times, once each:
 
 - `GroupTable` on S_n's generators (1 2) and (1 2 ... n), built through
   `symmetric_group` without its cache;
@@ -12,6 +14,7 @@ is a fresh interpreter that times, once each:
 - `is_pbw`;
 - `RewriteSystem(...).is_confluent()`;
 - `params_from_json` on the pair's parameter file, already parsed as JSON;
+- `is_pbw` and `is_confluent` on the perturbed pair;
 
 and reports its peak RSS.  The table holds the medians over --repeats runs:
 the columns of the ROADMAP baseline table, plus the peak RSS.
@@ -63,10 +66,16 @@ timed("cond (1)", (True, None), check_condition, 1, lam, kappa)
 timed("is_pbw", True, is_pbw, lam, kappa)
 timed("is_confluent", True, lambda: RewriteSystem(lam, kappa).is_confluent())
 timed("params_from_json", (lam, kappa), params_from_json, data)
+lam, kappa = random_params(n, FieldSpec(5), seed=1, profile="perturbed-mu")
+timed("is_pbw (perturbed)", False, is_pbw, lam, kappa)
+timed("is_confluent (perturbed)", False, lambda: RewriteSystem(lam, kappa).is_confluent())
 out["peak RSS"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
 """
-STAGES = ("GroupTable", "build_H_mu", "cond (1)", "is_pbw", "is_confluent", "params_from_json", "peak RSS")
+STAGES = (
+    "GroupTable", "build_H_mu", "cond (1)", "is_pbw", "is_confluent", "params_from_json",
+    "is_pbw (perturbed)", "is_confluent (perturbed)", "peak RSS",
+)
 
 
 def run(src: Path, n: int) -> dict[str, float]:

@@ -114,15 +114,16 @@ def build_H_mu(mu: MuParams) -> tuple[LambdaParam, KappaParam]:
     product = group.product
     transposition = _transpositions(n)
     a = {ij: mu.a_at(*ij) for ij in transposition}
-    b = [mu.b_at(k) for k in range(1, n + 1)]  # b[k - 1] = b_k
+    b = [mu.b_at(k) for k in range(1, n + 1)] * 2  # b[k - 1] = b[k - 1 + n] = b_k
     lam_table: dict[tuple[GroupElement, int], AlgebraElement] = {}
     for g in group:
-        for i in range(1, n + 1):
-            coeffs: dict[GroupElement, Scalar] = {g: sum(b[(i + k - 1) % n] for k in range(g(i) - i + n))}
-            for j in range(1, n + 1):
+        for i, gi in enumerate(g, start=1):
+            # b_i + b_{i+1} + ... over g(i) - i + n indices, read modulo n
+            coeffs: dict[GroupElement, Scalar] = {g: sum(b[i - 1 : gi - 1 + n])}
+            for j, gj in enumerate(g, start=1):
                 if j == i:
                     continue
-                c = a[i, j] - a[g(i), g(j)]
+                c = a[i, j] - a[gi, gj]
                 if c:
                     t = product(g, transposition[i, j])
                     coeffs[t] = coeffs.get(t, 0) + c

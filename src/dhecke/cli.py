@@ -247,6 +247,10 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None) -> None:
         (file or sys.stdout).write(self.format_help())
 
+    # A refusal is one line, as every other CLI failure: no usage block before it.
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
 
 def integer(text: str) -> int:
     """An integer flag in the grammar of `read_int`; argparse's refusal says "invalid integer value"."""
@@ -298,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_crossval)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # so that main refuses a command's unknown arguments in its name
     return parser
 
 
@@ -305,7 +311,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args, unknown = parser.parse_known_args(argv)
+            if unknown:
+                args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         except SystemExit:
             sys.stdout.flush()  # --help wrote to stdout, which may be closed
             raise

@@ -120,12 +120,12 @@ at every g outside the support of kappa).  So the ambiguity resolves
 exactly when (4) and (5) hold at (i, j, k).
 
 `is_pbw` gives the verdict alone, for callers that read nothing else
-(`crossval` and `convert`).  It runs the generator sweeps in the order (1),
-(3), (2), then (4) and (5), and stops at the first failure, without looking
-up a witness over G.  The verdicts match: a failure on S is a failure on G,
-since S is part of G, and each sweep on S runs only once the ones before it
-have passed on S, hence on G, so by the generator argument above it decides
-its condition on G.
+(`crossval` and `convert`).  It runs the cheapest sweeps first, (4) and (5),
+then the generator sweeps of (2), (3) and (1), and stops at the first
+failure, without looking up a witness over G.  Its verdict may be read in
+any order.  A failure on S is a failure on G, since S is part of G, so any
+failure found is the verdict.  When every sweep passes on S, (1) holds on
+G, then (3) by the generator argument above, then (2), so all five hold.
 
 Conditions (1) and (2) add every term of an instance's discrepancy into one
 plain {group element: coefficient} dict, which holds when each coefficient
@@ -362,9 +362,9 @@ def is_pbw(lam: LambdaParam, kappa: KappaParam) -> bool:
     """The verdict of `check_pbw`, from the generator sweeps alone (see the module docstring)."""
     gens = lam.group.generators
     return (
-        all(_CONDITIONS[k](lam, kappa, gens) is None for k in (1, 3, 2))
-        and _cond4(lam, kappa) is None
+        _cond4(lam, kappa) is None
         and _cond5(lam, kappa) is None
+        and all(_CONDITIONS[k](lam, kappa, gens) is None for k in (2, 3, 1))
     )
 
 

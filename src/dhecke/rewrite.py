@@ -70,16 +70,13 @@ are these two sums, with their coefficients added up, and the overlap
 resolves exactly when every coefficient of their difference vanishes mod p.
 Summing equal words changes no normal form (see above), and it can only
 lower the general reducer's step count, so the fast path's count of rule
-applications bounds the count of each parse.  When a coefficient does not
-vanish, or the count passes `step_budget`, the general reducer takes the
-overlap as before, so the witness, the StepBudgetExceeded message and every
-output come from it.  `exhaustive=True` uses the general reducer on every
-overlap; it is the oracle the fast path is checked against.
+applications bounds the count of each parse.
 
 The group-var-var overlaps (g, v_j, v_i) need only g in S too, once every
-group-group-var overlap resolves (that family is swept first).  The
-argument below uses the rewrite rules alone, not the five conditions, so
-the oracle stays independent of them.
+group-group-var overlap resolves (`check_confluence` sweeps that family
+first; `is_confluent` needs no order, see below).  The argument below
+uses the rewrite rules alone, not the five conditions, so the oracle stays
+independent of them.
 
 - Let A be the free algebra on the tokens modulo R1 and R2, and pi the
   R1/R2 normal form.  The ambiguities of R1 and R2 alone are g h k
@@ -139,10 +136,37 @@ linear in words (see above), so the normal form of each parse is the sum of
 those of its terms, which is the sum the closed form builds, keyed by
 normal word.  The sorted words v_min(r,q) v_max(r,q) g come out of both
 parses with the same coefficients, the products of the entries of columns
-i and j of g, and cancel; only R3's kappa terms of them are kept.  The
-count of rule applications bounds that of each parse, as above, and a
-difference or a count past `step_budget` sends the overlap to the general
-reducer, which decides it and writes the witness.
+i and j of g, and cancel; only R3's kappa terms of them are kept.
+
+`_resolves_fast_vvv` decides an overlap (v_k, v_j, v_i), k > j > i, the
+same way.  Write K(a, b) for kappa(v_a, v_b).  The leftmost reducer sorts
+each parse with R3 three times, one redex at a time:
+
+    left:  v_j v_k v_i - K(j, k) v_i  ->  v_j v_i v_k - v_j K(i, k) - K(j, k) v_i
+                                      ->  v_i v_j v_k - K(i, j) v_k - v_j K(i, k) - K(j, k) v_i,
+    right: v_k v_i v_j - v_k K(i, j)  ->  v_i v_k v_j - K(i, k) v_j - v_k K(i, j)
+                                      ->  v_i v_j v_k - v_i K(j, k) - K(i, k) v_j - v_k K(i, j).
+
+A word v_m x (x in G) is normal, and x v_m takes one R2 step to the normal
+words of ^x v_m x + lambda(x, v_m).  With K(k, i) = -K(i, k), the
+difference is the Jacobi sum of `dhecke.pbw`,
+
+    left - right = sum over (a, b, m) in ((i, j, k), (j, k, i), (k, i, j))
+                   of v_m K(a, b) - K(a, b) v_m,
+
+with each x v_m rewritten by R2; the closed form sums it by normal word.
+Its count is 6 R3 steps plus one R2 step per term of K(i, j), K(j, k) and
+K(i, k), and it bounds the count of each parse, as above.
+
+Every closed form is exact: it is the difference of the two leftmost normal
+forms, and its rule count bounds the general reducer's.  So a count within
+`step_budget` gives the verdict, pass or fail, and only a count past it
+sends the overlap to the general reducer, which then decides it; every
+StepBudgetExceeded comes from the general reducer.  `check_confluence` also
+sends a failed overlap there for its witness, so witnesses and messages
+are those of the general reducer.  `exhaustive=True` uses the general
+reducer on every overlap; it is the oracle the closed forms are checked
+against.
 
 So by default `overlap_words` lists the group-group-var and group-var-var
 words for g in S only: |S|.|G|.n + |S|.C(n,2) + C(n,3) overlaps instead of
@@ -151,11 +175,14 @@ rescans its family over all of G in order, so the reported witness is the
 one the full sweep finds first.  `exhaustive=True` sweeps all of G.
 
 `is_confluent` gives the verdict alone, for callers that read nothing else
-(`crossval`, `convert` and `verify_isomorphism`).  It walks the same
-overlaps through the same loop as `check_confluence` and stops at the first
-failure, without the rescan.  The verdicts match: an overlap that fails on S
-fails on G, since S is part of G, and when every overlap on S resolves,
-every overlap on G does, by the argument above.
+(`crossval`, `convert` and `verify_isomorphism`).  It decides the same
+overlaps by their closed forms, the cheapest family first: group-var-var,
+then group-group-var, then var-var-var, and it stops at the first failure,
+without the rescan.  Its verdict may be read in any family order.  An
+overlap that fails on S fails on G, since S is part of G, so any failure
+found is the verdict.  When every overlap on S resolves, the group-group-var
+family resolves on G, which is the prerequisite of the group-var-var
+argument above, so every overlap on G resolves.
 """
 
 from __future__ import annotations
@@ -176,6 +203,8 @@ DEFAULT_STEP_BUDGET = 10**7
 # Longest word parse_word_sum will expand a power like "v1^k" into; a power
 # past it is refused before any memory is spent on its tokens.
 MAX_WORD_TOKENS = 10**6
+# The order in which `is_confluent` sweeps the overlap families (see the module docstring).
+CHEAPEST_FIRST = {"group-var-var": 0, "group-group-var": 1, "var-var-var": 2}
 
 
 class NormalMonomial(NamedTuple):
@@ -394,12 +423,11 @@ class RewriteSystem:
                     out.append(("var-var-var", (k, j, i)))
         return out
 
-    def _resolves_fast(self, word: Word) -> bool:
+    def _resolves_fast(self, word: Word) -> Optional[bool]:
         """Whether the group-group-var overlap (s, h, v_i) resolves, by its few rules alone.
 
         It applies the rules the leftmost reducer applies (see the module
-        docstring).  False means that a coefficient does not vanish, or that
-        the rule count passes the step budget; the general reducer then decides.
+        docstring).  None means that the rule count passes the step budget.
         """
         s, h, i = word
         product = self.group.product
@@ -421,9 +449,9 @@ class RewriteSystem:
                 if drop2:
                     t = product(t, h)
                 diff[t] = diff.get(t, 0) - c * c2
-        return steps <= self.step_budget and self.field.vanishes(diff.values())
+        return None if steps > self.step_budget else self.field.vanishes(diff.values())
 
-    def _resolves_fast_gvv(self, word: Word) -> bool:
+    def _resolves_fast_gvv(self, word: Word) -> Optional[bool]:
         """Whether the group-var-var overlap (g, v_j, v_i) resolves, by its few rules alone.
 
         As `_resolves_fast`, with the rules of the module docstring; the
@@ -456,19 +484,29 @@ class RewriteSystem:
                         for y, e in kappa_qr.items():
                             yg = (product(y, g),)
                             diff[yg] = diff.get(yg, 0) - k * e
-        return steps <= self.step_budget and self.field.vanishes(diff.values())
+        return None if steps > self.step_budget else self.field.vanishes(diff.values())
 
-    def _resolve(self, family: str, word: Word, fast: bool = False) -> Optional[OverlapWitness]:
-        """Reduce both parses of an overlap; their difference if they disagree.
+    def _resolves_fast_vvv(self, word: Word) -> Optional[bool]:
+        """Whether the var-var-var overlap (v_k, v_j, v_i) resolves, by its few rules alone.
 
-        With `fast`, a group-group-var or group-var-var overlap is first
-        tried by `_resolves_fast` or `_resolves_fast_gvv`; the general
-        reducer still gives every witness.
+        As `_resolves_fast`: the difference is the sum over the cyclic
+        (a, b, m) of [v_m, kappa(v_a, v_b)] under R2 (see the module docstring).
         """
-        if fast and family != "var-var-var":
-            resolves = self._resolves_fast if family == "group-group-var" else self._resolves_fast_gvv
-            if resolves(word):
-                return None
+        k, j, i = word
+        diff: dict[Word, Scalar] = {}
+        steps = 6  # R3 three times in each parse
+        # kappa(v_k, v_i) = -kappa(v_i, v_k)
+        for a, b, m, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
+            for x, c in self.kappa.at(a, b).terms.items():
+                steps += 1  # R2 on (x, v_m)
+                c *= sign
+                diff[m, x] = diff.get((m, x), 0) + c  # v_m x
+                for mid, c2, _ in self._r2_rhs(x, m):  # x v_m
+                    diff[mid] = diff.get(mid, 0) - c * c2
+        return None if steps > self.step_budget else self.field.vanishes(diff.values())
+
+    def _resolve(self, family: str, word: Word) -> Optional[OverlapWitness]:
+        """Reduce both parses of an overlap with the general reducer; their difference if they disagree."""
         try:
             left = self.normal_form((w, c) for w, c, _ in self._apply_rule(word, 0))
             right = self.normal_form((w, c) for w, c, _ in self._apply_rule(word, 1))
@@ -481,17 +519,31 @@ class RewriteSystem:
             family, word, tuple(sorted(diff.items(), key=lambda t: t[0].sort_key()))
         )
 
-    def _first_failure(self, exhaustive: bool) -> Optional[OverlapWitness]:
-        """The first overlap of `overlap_words` whose two parses disagree, or None."""
-        for family, word in self.overlap_words(exhaustive=exhaustive):
-            witness = self._resolve(family, word, fast=not exhaustive)
-            if witness is not None:
-                return witness
-        return None
+    _CLOSED_FORMS = {
+        "group-group-var": _resolves_fast,
+        "group-var-var": _resolves_fast_gvv,
+        "var-var-var": _resolves_fast_vvv,
+    }
+
+    def _witness(self, family: str, word: Word, exhaustive: bool = False) -> Optional[OverlapWitness]:
+        """The overlap's witness from the general reducer, or None if it resolves.
+
+        Unless exhaustive, its closed form decides first, so the general
+        reducer runs only on a failure or a rule count past the step budget.
+        """
+        if not exhaustive and self._CLOSED_FORMS[family](self, word):
+            return None
+        return self._resolve(family, word)
 
     def is_confluent(self) -> bool:
-        """The verdict of `check_confluence`, without the rescan over G for its witness."""
-        return self._first_failure(exhaustive=False) is None
+        """The verdict of `check_confluence`, cheapest family first (see the module docstring)."""
+        for family, word in sorted(self.overlap_words(), key=lambda fw: CHEAPEST_FIRST[fw[0]]):
+            resolves = self._CLOSED_FORMS[family](self, word)
+            if resolves is None:
+                resolves = self._resolve(family, word) is None
+            if not resolves:
+                return False
+        return True
 
     def check_confluence(self, *, exhaustive: bool = False) -> tuple[bool, Optional[OverlapWitness]]:
         """Resolve every overlap both ways; pass iff all pairs agree.
@@ -499,11 +551,12 @@ class RewriteSystem:
         The witness is the first failing overlap of the exhaustive order in
         either mode (see the module docstring).
         """
-        witness = self._first_failure(exhaustive)
+        found = (self._witness(f, w, exhaustive) for f, w in self.overlap_words(exhaustive=exhaustive))
+        witness = next((w for w in found if w), None)
         if witness is None:
             return True, None
         if witness.family != "var-var-var" and not exhaustive:
-            rescan = (self._resolve(f, w, fast=True) for f, w in self._family(witness.family, self.group))
+            rescan = (self._witness(witness.family, w) for _, w in self._family(witness.family, self.group))
             witness = next(w for w in rescan if w)
         return False, witness
 

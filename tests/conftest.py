@@ -112,12 +112,33 @@ def coboundary_pair(n: int, fs: FieldSpec, seed: int, kappa_profile: str):
     return LambdaParam(group, fs, table), kap
 
 
+def bumped_pair(n: int, fs: FieldSpec, seed: int, table: str):
+    """A seeded mu-family pair with one entry of its lambda or kappa `table` bumped, as "perturbed-mu" does.
+
+    The bump adds a seeded nonzero multiple of a seeded group element to one
+    seeded entry.  "perturbed-mu" picks the table from its seed; here it is
+    an argument, so a grid can hold pairs of both kinds.
+    """
+    lam, kap = random_params(n, fs, seed=seed, profile="mu-family")
+    group = lam.group
+    rng = random.Random(f"bumped {table}|n={n}|p={fs.characteristic}|seed={seed}")
+    bump = AlgebraElement.term(fs, rng.choice(group.elements), fs(rng.choice((1, 2, -1))))
+    if table == "lambda":
+        key = (rng.choice(group.elements), rng.randint(1, n))
+        return LambdaParam(group, fs, {**lam.table, key: lam.at(*key) + bump}), kap
+    i = rng.randint(1, n - 1)
+    key = (i, rng.randint(i + 1, n))
+    return lam, KappaParam(fs, n, {**kap.table, key: kap.at(*key) + bump})
+
+
 def sweep_grid():
     """Seeded pairs for comparing the generator and exhaustive sweeps.
 
     Every profile at n = 3 (four seeds) and n = 4 (one seed), then a
     coboundary pair (`coboundary_pair`) for every kappa profile at n = 3
-    (three seeds) and n = 4 (one seed); p in {0, 3, 5, 7} throughout.
+    (three seeds) and n = 4 (one seed), then a lambda-bumped and a
+    kappa-bumped pair (`bumped_pair`) at n = 3 (two seeds) and n = 4 (one
+    seed); p in {0, 3, 5, 7} throughout.
     """
     for n, seeds in ((3, range(4)), (4, range(1))):
         for p in (0, 3, 5, 7):
@@ -133,6 +154,13 @@ def sweep_grid():
                 for seed in seeds:
                     lam, kap = coboundary_pair(n, fs, seed + 600, profile)
                     yield (n, p, f"coboundary/{profile}", seed), lam, kap
+    for n, seeds in ((3, range(2)), (4, range(1))):
+        for p in (0, 3, 5, 7):
+            fs = FieldSpec(p)
+            for table in ("lambda", "kappa"):
+                for seed in seeds:
+                    lam, kap = bumped_pair(n, fs, seed + 700, table)
+                    yield (n, p, f"{table}-bumped", seed), lam, kap
 
 
 @pytest.fixture(scope="session")

@@ -606,6 +606,25 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
     assert errors == [f"dhecke {argv[0]}: error: argument {flag}: invalid integer value: {value!r}"]
 
 
+ARGPARSE_REFUSALS = [
+    (["check", "--input", "p.json", "--method", "fast"], "argument --method: invalid choice: 'fast'"),
+    (["build", "--mu", "mu.json", "--char", "x"], "argument --char: invalid integer value: 'x'"),
+    (["extract"], "the following arguments are required: --input"),
+    (["normal-form", "--input", "p.json"], "the following arguments are required: --word"),
+    (["convert", "--input", "p.json", "--certify"], "unrecognized arguments: --certify"),
+    (["crossval", "--n", "٣", "--char", "5", "--samples", "1"], "argument --n: invalid integer value: '٣'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ARGPARSE_REFUSALS, ids=[a[0] for a, _ in ARGPARSE_REFUSALS])
+def test_argparse_refusal_is_one_line(capsys, argv, message):
+    """A bad flag value, a missing required flag or an unknown flag: one line naming the command, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = assert_one_line_error(capsys, exc.value.code)
+    assert err.startswith(f"dhecke {argv[0]}: error: {message}")
+
+
 def test_negative_seed_still_accepted(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["crossval", "--n", "3", "--char", "5", "--samples", "1", "--seed", "-3", "--out", str(out)])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dhecke import (
     AlgebraElement,
     FieldSpec,
+    GroupTable,
     KappaParam,
     LambdaParam,
     NormalMonomial,
@@ -471,19 +472,83 @@ def test_group_var_var_budget_overrun_names_the_overlap(F5):
             verdict()
 
 
-def test_fast_path_leaves_normal_form_to_the_other_families(F5):
-    """A PBW pair calls normal_form twice per var-var-var overlap, and no more."""
-    lam, kap = random_params(4, F5, seed=2, profile="mu-family")
-    rs = RewriteSystem(lam, kap)
+def test_var_var_var_fast_path_matches_general_reducer():
+    """On every var-var-var word, the closed form resolves exactly when both normal forms agree.
+
+    Also on matrix groups whose columns hold coefficients other than 1, and over F_2.
+    """
+    verdicts = Counter()
+    char2 = ((f"general n=3 p=2 seed={seed}", *random_params(3, FieldSpec(2), seed=seed)) for seed in range(4))
+    for label, lam, kap in chain(_fast_path_pairs(), matrix_group_pairs(), char2):
+        rs = RewriteSystem(lam, kap)
+        for family, word in rs.overlap_words():
+            if family == "var-var-var":
+                resolves = rs._resolve(family, word) is None
+                assert rs._resolves_fast_vvv(word) == resolves, (label, format_word(word))
+                verdicts[lam.field.characteristic == 2, resolves] += 1
+    assert verdicts[False, True] and verdicts[False, False], verdicts
+    assert verdicts[True, True] and verdicts[True, False], verdicts
+
+
+def _count_normal_form_calls(rs):
+    """A Counter that counts the calls of rs.normal_form from now on."""
     calls = Counter()
     normal_form = rs.normal_form
     rs.normal_form = lambda *args: calls.update(["nf"]) or normal_form(*args)
+    return calls
+
+
+def test_fast_path_leaves_normal_form_to_the_other_families(F5):
+    """A PBW pair calls normal_form on no overlap, and on every overlap when exhaustive."""
+    lam, kap = random_params(4, F5, seed=2, profile="mu-family")
+    rs = RewriteSystem(lam, kap)
+    calls = _count_normal_form_calls(rs)
     assert rs.check_confluence() == (True, None)
-    others = [w for f, w in rs.overlap_words() if f == "var-var-var"]
-    assert calls["nf"] == 2 * len(others) == 2 * comb(4, 3)
-    calls.clear()
+    assert calls["nf"] == 0
     assert rs.check_confluence(exhaustive=True) == (True, None)
     assert calls["nf"] == 2 * len(rs.overlap_words(exhaustive=True))
+
+
+def test_is_confluent_never_calls_normal_form():
+    """Under the default budget every overlap is decided by its closed form, pass or fail."""
+    verdicts = Counter()
+    for label, lam, kap in _fast_path_pairs():
+        rs = RewriteSystem(lam, kap)
+        calls = _count_normal_form_calls(rs)
+        verdicts[rs.is_confluent()] += 1
+        assert calls["nf"] == 0, label
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_var_var_var_budget_overrun_names_the_overlap(F5):
+    """A budget every other overlap meets, but a var-var-var parse does not, names that overlap.
+
+    G = <(1 2)> acts on F^4, lambda = 0, and kappa(v_i, v_j) = 1 + (1 2) for
+    i < j, except kappa(v_1, v_2) = 0.  Each closed form of a
+    group-group-var overlap applies 5 rules.  Those of the group-var-var
+    overlaps apply up to 10, so they pass the budget of 5, and the general
+    reducer decides them in at most 4 per parse.  (v_4, v_3, v_2) comes
+    first among the var-var-var overlaps; its closed form applies 12 rules,
+    and its left parse 6: R3 on (v_4, v_2) and on (v_3, v_2), and R2 on the
+    two terms of kappa(v_2, v_3) and of kappa(v_3, v_4).
+    """
+    s = Perm([2, 1, 3, 4])
+    group = GroupTable([s])
+    two_terms = AlgebraElement(F5, {group.identity: 1, s: 1})
+    kap = KappaParam(F5, 4, {(i, j): two_terms for i in range(1, 5) for j in range(i + 1, 5) if (i, j) != (1, 2)})
+    rs = RewriteSystem(LambdaParam(group, F5), kap, step_budget=5)
+    for family, word in rs.overlap_words():
+        if family == "group-group-var":
+            assert rs._resolves_fast(word)
+        elif family == "group-var-var":
+            assert rs._resolves_fast_gvv(word) is None and rs._resolve(family, word) is None
+    word = (4, 3, 2)
+    assert ("var-var-var", word) == next(fw for fw in rs.overlap_words() if fw[0] == "var-var-var")
+    assert rs._resolves_fast_vvv(word) is None
+    message = "exceeded 5 reduction steps while resolving the var-var-var overlap v4 v3 v2"
+    for verdict in (rs.is_confluent, rs.check_confluence):
+        with pytest.raises(StepBudgetExceeded, match=f"^{re.escape(message)}$"):
+            verdict()
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
