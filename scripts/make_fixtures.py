@@ -70,7 +70,7 @@ def two_scalar_n4(fs: FieldSpec, m: int = 1, mp: int = 2):
                     t = g * Perm.transposition(n, i, j)
                     coeffs[t] = coeffs.get(t, fs.zero) + c
             val = AlgebraElement(fs, coeffs)
-            if not val.is_zero():
+            if val:
                 lam_table[(g, i)] = val
     lam = LambdaParam(group, fs, lam_table)
     c123 = Perm.from_cycles(n, (1, 2, 3))

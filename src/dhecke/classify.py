@@ -157,7 +157,7 @@ def _read_betas(lam: LambdaParam) -> tuple[Scalar, ...]:
     betas = []
     for k in range(1, n + 1):
         s_k = lam.group.adjacent_transposition(k)
-        betas.append(lam.field(half * (lam.at(s_k, k) - lam.at(s_k, k % n + 1)).coefficient(s_k)))
+        betas.append(lam.field(half * (lam.at(s_k, k) - lam.at(s_k, k % n + 1)).get(s_k, 0)))
     return tuple(betas)
 
 
@@ -181,7 +181,7 @@ def extract_mu(lam: LambdaParam, kappa: KappaParam) -> MuParams:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             t = Perm.transposition(n, i, j)
-            a[(i, j)] = quarter * (lam.at(t, i) - lam.at(t, j)).coefficient(ident)
+            a[(i, j)] = quarter * (lam.at(t, i) - lam.at(t, j)).get(ident, 0)
     b = _read_betas(lam)[: n - 1]
     c = kappa.coefficient(Perm.from_cycles(n, (1, 2, 3)), 1, 2)
     return MuParams(fs, n, a, b, c)

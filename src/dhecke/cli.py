@@ -284,7 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normal-form", help="reduce a word to PBW monomials")
     p.add_argument("--input", required=True)
-    p.add_argument("--word", required=True, help='e.g. "2 v1 v2 - g[2,1,3] v1"')
+    p.add_argument(
+        "--word",
+        required=True,
+        help='e.g. "2 v1 v2 - g[2,1,3] v1"; a word that starts with "-" is given as --word="-v1"',
+    )
     p.add_argument("--out", help="optional JSON report")
     p.set_defaults(func=cmd_normal_form)
 
@@ -313,7 +317,10 @@ def main(argv=None) -> int:
         try:
             args, unknown = parser.parse_known_args(argv)
             if unknown:
-                args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+                # Only flags the top-level parser does not know can come before the command.
+                before_command = (sys.argv[1:] if argv is None else argv).index(args.command)
+                refuser = parser if before_command else args.parser
+                refuser.error(f"unrecognized arguments: {' '.join(unknown)}")
         except SystemExit:
             sys.stdout.flush()  # --help wrote to stdout, which may be closed
             raise

@@ -130,7 +130,7 @@ def verify_isomorphism(lam: LambdaParam, kappa_prime: KappaParam, result: Conver
         raise NotPBWInput("the source pair does not define a confluent system")
 
     f_images = {
-        i: [((i,), 1)] + [((g,), c) for g, c in result.gamma[i].terms.items()] for i in range(1, n + 1)
+        i: [((i,), 1)] + [((g,), c) for g, c in result.gamma[i].items()] for i in range(1, n + 1)
     }
 
     for i in range(1, n + 1):
@@ -138,7 +138,7 @@ def verify_isomorphism(lam: LambdaParam, kappa_prime: KappaParam, result: Conver
             # f(v_i) f(v_j) - f(v_j) f(v_i) - kappa(v_i, v_j)
             rel = [(wi + wj, ci * cj) for wi, ci in f_images[i] for wj, cj in f_images[j]]
             rel += [(wj + wi, -ci * cj) for wi, ci in f_images[i] for wj, cj in f_images[j]]
-            rel += [((g,), -c) for g, c in result.kappa_converted.at(i, j).terms.items()]
+            rel += [((g,), -c) for g, c in result.kappa_converted.at(i, j).items()]
             if rs.normal_form(rel):
                 checks["commutator_relations"] = False
 

@@ -1,8 +1,12 @@
 """Parameter functions for deformations of S(V)#G.
 
-kappa : V (x) V -> FG   (alternating; stored on index pairs i < j)
+kappa : V (x) V -> FG   (alternating; given on index pairs i < j, and
+                         stored in both orientations)
 lambda: FG (x) V -> FG  (stored on (group element, basis index); absent
                          entries read as zero)
+
+Every value is an `AlgebraElement`, a {group element: coefficient} dict,
+and each lookup returns the stored value itself.
 
 Also here: the conjugation-twisted group action on parameters, seeded
 random parameter generation, and the JSON parameter-file format shared by
@@ -20,30 +24,33 @@ from .scalars import FieldSpec, ModularObstruction, Scalar, read_int
 
 
 class KappaParam:
-    """Alternating bilinear map V x V -> FG, tabulated on pairs i < j."""
+    """Alternating bilinear map V x V -> FG, tabulated on pairs i < j.
+
+    `table` holds kappa(v_i, v_j) for i < j.  Both orientations are stored
+    once, here, so `at` is a single lookup for every (i, j): the entry at
+    (j, i) is the negated value, and a value read twice is the same object.
+    """
 
     def __init__(self, field_spec: FieldSpec, n: int, table: dict[tuple[int, int], AlgebraElement] | None = None) -> None:
         self.field = field_spec
         self.n = n
         self._zero = AlgebraElement(field_spec)  # the one value of every absent entry
         self.table: dict[tuple[int, int], AlgebraElement] = {}
+        self._values: dict[tuple[int, int], AlgebraElement] = {}  # both orientations
         if table:
             for (i, j), val in table.items():
                 if not 1 <= i < j <= n:
                     raise ValueError(f"kappa table key must have 1 <= i < j <= n, got {(i, j)}")
-                if not val.is_zero():
-                    self.table[(i, j)] = val
+                if val:
+                    self.table[(i, j)] = self._values[(i, j)] = val
+                    self._values[(j, i)] = -val
 
     def at(self, i: int, j: int) -> AlgebraElement:
         """kappa(v_i, v_j) with the alternating convention built in."""
-        if i == j:
-            return self._zero
-        if i < j:
-            return self.table.get((i, j), self._zero)
-        return -self.table.get((j, i), self._zero)
+        return self._values.get((i, j), self._zero)
 
     def coefficient(self, g: GroupElement, i: int, j: int) -> Scalar:
-        return self.at(i, j).coefficient(g)
+        return self.at(i, j).get(g, 0)
 
     def eval(self, u: Column, v: Column) -> AlgebraElement:
         """Bilinear alternating extension to vectors given as columns."""
@@ -51,13 +58,13 @@ class KappaParam:
         for i, a in u:
             for j, b in v:
                 ab = a * b
-                pairs.extend((g, ab * x) for g, x in self.at(i, j).terms.items())
+                pairs.extend((g, ab * x) for g, x in self.at(i, j).items())
         return AlgebraElement.from_pairs(self.field, pairs)
 
     def support(self) -> list[GroupElement]:
         seen: set[GroupElement] = set()
         for val in self.table.values():
-            seen.update(val.terms)
+            seen.update(val)
         return sorted(seen)
 
     def is_zero(self) -> bool:
@@ -95,7 +102,7 @@ class LambdaParam:
                     raise ValueError(f"lambda table key {g!r} is not in the enumerated group")
                 if not 1 <= i <= self.n:
                     raise ValueError(f"basis index {i} out of range")
-                if not val.is_zero():
+                if val:
                     self.table[(g, i)] = val
 
     def at(self, g: GroupElement, i: int) -> AlgebraElement:
@@ -103,21 +110,21 @@ class LambdaParam:
 
     def coefficient(self, h: GroupElement, g: GroupElement, i: int) -> Scalar:
         """The scalar lambda_h(g, v_i)."""
-        return self.at(g, i).coefficient(h)
+        return self.at(g, i).get(h, 0)
 
     def eval_vector(self, g: GroupElement, v: Column) -> AlgebraElement:
         """lambda(g, v) for v given as a column."""
         return AlgebraElement.from_pairs(
-            self.field, ((h, c * x) for i, c in v for h, x in self.at(g, i).terms.items())
+            self.field, ((h, c * x) for i, c in v for h, x in self.at(g, i).items())
         )
 
     def eval(self, x: AlgebraElement, v: Column) -> AlgebraElement:
         """Bilinear extension with an FG-valued first slot."""
         pairs = []
-        for g, c in x.terms.items():
+        for g, c in x.items():
             for i, a in v:
                 ca = c * a
-                pairs.extend((h, ca * y) for h, y in self.at(g, i).terms.items())
+                pairs.extend((h, ca * y) for h, y in self.at(g, i).items())
         return AlgebraElement.from_pairs(self.field, pairs)
 
     def is_zero(self) -> bool:
@@ -326,7 +333,7 @@ def element_from_json(data, group: GroupTable, where: str = "group element") -> 
 def algebra_element_to_json(x: AlgebraElement):
     return [
         {"g": element_to_json(g), "coeff": str(c)}
-        for g, c in sorted(x.terms.items())
+        for g, c in sorted(x.items())
     ]
 
 
@@ -375,11 +382,12 @@ def group_from_json(data, fs: FieldSpec, n: int) -> GroupTable:
             raise ValueError("group n disagrees with the file n")
         return symmetric_group(n)
     if kind == "matrix":
-        gens = [
-            _matrix_from_json(flat, fs, n, f"group generator {k}")
-            for k, flat in enumerate(_list_field(data, "generators", "group"))
-        ]
-        return GroupTable(gens)
+        flats = _list_field(data, "generators", "group")
+        if not flats:
+            raise ValueError("group field 'generators' must list at least one generator")
+        return GroupTable(
+            [_matrix_from_json(flat, fs, n, f"group generator {k}") for k, flat in enumerate(flats)]
+        )
     raise ValueError(f"unknown group type {kind!r}")
 
 
@@ -423,7 +431,7 @@ def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
         if not 1 <= i <= n:
             raise ValueError(f"{where} field 'i' must be in 1..{n}, got {i}")
         val = algebra_element_from_json(_field(entry, "value", where), group, fs, scalars, f"{where} value")
-        if not val.is_zero():
+        if val:
             if (g, i) in lam_table:
                 raise ValueError(f"duplicate lambda entry for {(g, i)}")
             lam_table[(g, i)] = val
@@ -434,7 +442,7 @@ def params_from_json(data) -> tuple[LambdaParam, KappaParam]:
         if not 1 <= i < j <= n:
             raise ValueError(f"{where} needs 1 <= i < j <= {n}, got {(i, j)}")
         val = algebra_element_from_json(_field(entry, "value", where), group, fs, scalars, f"{where} value")
-        if not val.is_zero():
+        if val:
             if (i, j) in kap_table:
                 raise ValueError(f"duplicate kappa entry for {(i, j)}")
             kap_table[(i, j)] = val

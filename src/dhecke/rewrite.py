@@ -300,7 +300,7 @@ class RewriteSystem:
         rhs = self._r2.get((g, i))
         if rhs is None:
             rhs = self._r2[(g, i)] = [((r, g), c, 0) for r, c in g.column(i)] + [
-                ((h,), c, 1) for h, c in self.lam.at(g, i).terms.items()
+                ((h,), c, 1) for h, c in self.lam.at(g, i).items()
             ]
         return rhs
 
@@ -317,7 +317,7 @@ class RewriteSystem:
         if not _is_var(a):
             return [(pre + mid + post, c, drop) for mid, c, drop in self._r2_rhs(a, b)]
         j, i = a, b
-        kappa_terms = self.kappa.at(i, j).terms.items()
+        kappa_terms = self.kappa.at(i, j).items()
         return [(pre + (i, j) + post, 1, 0)] + [(pre + (h,) + post, -c, 2) for h, c in kappa_terms]
 
     # -- reduction -------------------------------------------------------------
@@ -461,7 +461,7 @@ class RewriteSystem:
         product = self.group.product
         diff: dict[Word, Scalar] = {}
         # The right parse starts with R3 on (v_j, v_i): R1 on each g kappa(v_i, v_j).
-        kappa_ij = self.kappa.at(i, j).terms
+        kappa_ij = self.kappa.at(i, j)
         for x, c in kappa_ij.items():
             gx = (product(g, x),)
             diff[gx] = diff.get(gx, 0) + c
@@ -479,7 +479,7 @@ class RewriteSystem:
                         continue
                     r, q, _ = word2  # v_r v_q g; the sorted words cancel between the parses
                     if r > q:  # R3, then R1 on each kappa(v_q, v_r) g
-                        kappa_qr = self.kappa.at(q, r).terms
+                        kappa_qr = self.kappa.at(q, r)
                         steps += 1 + len(kappa_qr)
                         for y, e in kappa_qr.items():
                             yg = (product(y, g),)
@@ -495,11 +495,9 @@ class RewriteSystem:
         k, j, i = word
         diff: dict[Word, Scalar] = {}
         steps = 6  # R3 three times in each parse
-        # kappa(v_k, v_i) = -kappa(v_i, v_k)
-        for a, b, m, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
-            for x, c in self.kappa.at(a, b).terms.items():
+        for a, b, m in ((i, j, k), (j, k, i), (k, i, j)):
+            for x, c in self.kappa.at(a, b).items():
                 steps += 1  # R2 on (x, v_m)
-                c *= sign
                 diff[m, x] = diff.get((m, x), 0) + c  # v_m x
                 for mid, c2, _ in self._r2_rhs(x, m):  # x v_m
                     diff[mid] = diff.get(mid, 0) - c * c2

@@ -439,6 +439,10 @@ def test_normal_form_group_token_outside_group_exit2(capsys, fixture, word):
              "kappa": [{"i": 1, "j": 2, "value": [{"g": [1, 2, 3], "coeff": "0_1"}]}]},
             "kappa entry 0 value term 0 field 'coeff' must be a scalar such as \"3\" or \"-1/2\", got '0_1'",
         ),
+        (
+            {"characteristic": 5, "n": 2, "group": {"type": "matrix", "generators": []}},
+            "group field 'generators' must list at least one generator",
+        ),
     ],
 )
 def test_check_malformed_params_exit2(capsys, tmp_path, payload, named):
@@ -623,6 +627,23 @@ def test_argparse_refusal_is_one_line(capsys, argv, message):
         main(argv)
     err = assert_one_line_error(capsys, exc.value.code)
     assert err.startswith(f"dhecke {argv[0]}: error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["--bogus", "check", "--input", "f.json"], "dhecke: error: unrecognized arguments: --bogus"),
+        (["check", "--bogus", "--input", "f.json"], "dhecke check: error: unrecognized arguments: --bogus"),
+        (["--bogus", "check", "--input", "f.json", "--more"], "dhecke: error: unrecognized arguments: --bogus --more"),
+    ],
+    ids=["before", "after", "both"],
+)
+def test_unknown_flag_is_refused_by_the_parser_it_precedes(capsys, argv, prefix):
+    """An unknown flag before the command is the top-level parser's to refuse; after it, the command's."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = assert_one_line_error(capsys, exc.value.code)
+    assert err.startswith(prefix)
 
 
 def test_negative_seed_still_accepted(capsys, tmp_path):

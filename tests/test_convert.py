@@ -25,7 +25,7 @@ from dhecke.rewrite import RewriteSystem
 
 def test_gamma_of_zero(F7, S3):
     g = gamma(LambdaParam(S3, F7))
-    assert all(v.is_zero() for v in g.values())
+    assert all(not v for v in g.values())
 
 
 def test_gamma_golden_rule_s3_p7(F7):
@@ -34,7 +34,7 @@ def test_gamma_golden_rule_s3_p7(F7):
     ident = lam.group.identity
     for i in (1, 2, 3):
         if i == 2:
-            assert g[i].is_zero()
+            assert not g[i]
         else:
             assert g[i] == AlgebraElement.term(F7, ident, F7(i - 2))
 
@@ -67,7 +67,7 @@ def test_convert_identity_on_lambda_zero(F7, S3):
     lam0 = LambdaParam(S3, F7)
     assert check_pbw(lam0, kap).pbw
     result = convert(lam0, kap)
-    assert all(v.is_zero() for v in result.gamma.values())
+    assert all(not v for v in result.gamma.values())
     assert result.kappa_converted == kap
 
 
@@ -122,7 +122,7 @@ def test_convert_modular_refusal(F3):
 def group_relations_over_all_of_g(lam, kap, result) -> bool:
     """Check (ii) of verify_isomorphism for every g in G, not only the generators."""
     rs = RewriteSystem(lam, kap)
-    f = {i: [((i,), 1)] + [((h,), c) for h, c in result.gamma[i].terms.items()] for i in range(1, lam.n + 1)}
+    f = {i: [((i,), 1)] + [((h,), c) for h, c in result.gamma[i].items()] for i in range(1, lam.n + 1)}
     for g in lam.group:
         for i in range(1, lam.n + 1):
             rel = [((g,) + w, c) for w, c in f[i]]

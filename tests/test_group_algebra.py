@@ -23,7 +23,7 @@ def test_add_identity():
 def test_torsion_over_f3():
     g = Perm.from_cycles(3, (1, 2))
     x = term(g, 1, F3)
-    assert (x.scale(F3(2)) + x).is_zero()
+    assert not (x.scale(F3(2)) + x)
 
 
 def test_cancellation():
@@ -38,7 +38,7 @@ def test_difference_of_squares():
     one = AlgebraElement.term(F5, S3.identity)
     x = term(s) + one
     y = term(s) - one
-    assert (x * y).is_zero()
+    assert not (x * y)
 
 
 def test_scalars_commute():
@@ -67,8 +67,8 @@ def test_coefficient_extraction():
     g = Perm.from_cycles(3, (1, 2))
     h = Perm.from_cycles(3, (2, 3))
     x = term(g) - term(h)
-    assert x.coefficient(g) == F5(1)
-    assert AlgebraElement(F5).coefficient(g) == F5(0)
+    assert x.get(g, 0) == F5(1)
+    assert AlgebraElement(F5).get(g, 0) == F5(0)
 
 
 def test_mixed_context_rejected():
@@ -79,7 +79,26 @@ def test_mixed_context_rejected():
 def test_canonical_no_zero_terms():
     g = Perm.from_cycles(3, (1, 2))
     x = term(g) - term(g)
-    assert x.is_zero() and not x.terms
+    assert not x and dict(x) == {}
+
+
+def test_equality_and_hashing():
+    """Equal elements share a field and their items; a plain dict is never equal to one."""
+    g = Perm.from_cycles(3, (1, 2))
+    h = Perm.from_cycles(3, (1, 2, 3))
+    over_f5 = AlgebraElement(F5, {g: 1, h: 2})
+    over_f7 = AlgebraElement(FieldSpec(7), {g: 1, h: 2})
+    assert dict(over_f5) == dict(over_f7)
+    assert over_f5 != over_f7 and not over_f5 == over_f7
+    plain = {g: 1, h: 2}
+    assert dict(over_f5) == plain
+    assert over_f5 != plain and plain != over_f5
+    assert not over_f5 == plain and not plain == over_f5
+    same = AlgebraElement(F5, {h: 7, g: 6})  # reduced mod 5, and given in another order
+    assert same == over_f5 and hash(same) == hash(over_f5)
+    assert len({over_f5, same, over_f7}) == 2 and same in {over_f5}
+    assert AlgebraElement(F5, {g: 5, h: 2}) == AlgebraElement(F5, {h: 2})
+    assert g not in AlgebraElement(F5, {g: 5, h: 2})
 
 
 elements = st.sampled_from(list(S3))

@@ -324,7 +324,7 @@ def _reference_cond2(lam, kappa, gs=None):
                 lhs = twisted.mul_right(g) - kappa.at(i, j).mul_left(g)
                 rhs = lam.eval(lam.at(g, j), ((i, one),)) - lam.eval(lam.at(g, i), ((j, one),))
                 diff = lhs - rhs
-                if not diff.is_zero():
+                if diff:
                     return Witness(2, g, None, (i, j), diff)
     return None
 
@@ -402,7 +402,7 @@ def _on_matrices(lam, kappa, table):
     mat = {g: MatrixElement(fs, g.matrix()) for g in lam.group}
 
     def move(x):
-        return AlgebraElement(fs, {mat[g]: c for g, c in x.terms.items()})
+        return AlgebraElement(fs, {mat[g]: c for g, c in x.items()})
 
     return (
         LambdaParam(table, fs, {(mat[g], i): move(v) for (g, i), v in lam.table.items()}),

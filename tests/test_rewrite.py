@@ -27,6 +27,7 @@ from dhecke import (
     random_params,
     symmetric_group,
 )
+from dhecke import pbw
 from dhecke.cli import main
 from dhecke.rewrite import MAX_WORD_TOKENS, StepBudgetExceeded, format_word, ranking
 
@@ -456,7 +457,7 @@ def test_group_var_var_budget_overrun_names_the_overlap(F5):
     (s, v_2), R3 on (v_3, v_1), and R1 on the two terms of kappa(v_1, v_3).
     """
     _, kap = random_params(3, F5, seed=2, profile="mu-family")
-    assert len(kap.at(1, 3).terms) == 2
+    assert len(kap.at(1, 3)) == 2
     rs = RewriteSystem(LambdaParam(symmetric_group(3), F5), kap, step_budget=3)
     for family, word in rs.overlap_words():
         if family == "group-group-var":
@@ -517,6 +518,46 @@ def test_is_confluent_never_calls_normal_form():
         calls = _count_normal_form_calls(rs)
         verdicts[rs.is_confluent()] += 1
         assert calls["nf"] == 0, label
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def _count_constructions(monkeypatch):
+    """A Counter of the FG elements constructed from now on ("fg"), and of the pbw witnesses holding one."""
+    calls = Counter()
+    init = AlgebraElement.__init__
+    monkeypatch.setattr(AlgebraElement, "__init__", lambda self, *args: calls.update(["fg"]) or init(self, *args))
+    witness = pbw.Witness
+    monkeypatch.setattr(
+        pbw, "Witness", lambda *args: calls.update(["witness"] * isinstance(args[-1], AlgebraElement)) or witness(*args)
+    )
+    return calls
+
+
+def test_sweeps_read_stored_parameter_values(monkeypatch):
+    """No sweep of either engine builds an FG element, except as the discrepancy of a witness.
+
+    Kappa keeps both orientations: kappa(v_j, v_i) is stored once, and
+    kappa(v_i, v_i) is the empty element.
+    """
+    pairs = list(_fast_path_pairs())
+    pairs.append(("mu-family n=5 p=7", *random_params(5, FieldSpec(7), seed=2, profile="mu-family")))
+    verdicts = Counter()
+    for label, lam, kap in pairs:
+        for i in range(1, kap.n + 1):
+            assert kap.at(i, i) == AlgebraElement(kap.field) and not kap.at(i, i), label
+            for j in range(i + 1, kap.n + 1):
+                assert kap.at(j, i) is kap.at(j, i) and kap.at(j, i) == -kap.at(i, j), (label, i, j)
+        rs = RewriteSystem(lam, kap)
+        calls = _count_constructions(monkeypatch)
+        verdict = pbw.is_pbw(lam, kap)
+        assert pbw.check_pbw(lam, kap).pbw == verdict
+        assert rs.is_confluent() == verdict
+        assert rs.check_confluence()[0] == verdict
+        assert calls["fg"] == calls["witness"], label
+        if verdict:
+            assert calls["fg"] == 0, label
+        verdicts[verdict] += 1
+        monkeypatch.undo()
     assert verdicts[True] and verdicts[False], verdicts
 
 
